@@ -23,7 +23,6 @@ from .criteria import (
     ExactCheck,
     PinnedSystemSpec,
     StructuralCheck,
-    check_f_condition,
     check_structural,
     evaluate,
     exact_condition,
@@ -32,8 +31,6 @@ from .criteria import (
     pinned_operator,
     pinning_arrow_steps,
     pinning_gram_factor,
-    pinning_matrix,
-    qb_symmetrized,
     rhs_threshold,
     sigma_lambda_min_gt0,
 )
@@ -45,7 +42,6 @@ from .dynamics import (
     SimConfig,
     Trajectory,
     check_decay,
-    f_bound_of,
     rhs,
     simulate,
     trajectory_summary,

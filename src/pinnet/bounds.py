@@ -149,6 +149,34 @@ def _rank_checked(arr: ArrowMatrix, r: int | None) -> tuple[np.ndarray, int]:
     return w, r
 
 
+def arrow_lower(kind: BoundKind, c: float, lam_r: float, a_sq: float) -> float:
+    """Lower bound on lambda_{r+1}: min(c, lambda_r(M)) minus the border term of kind.
+
+    kind is SMALLEST_NONZERO_LOWER, WEYL_LOWER or MATHIAS_LOWER. From ||a||^2
+    and eta = |c - lambda_r| the terms are the Li-Li term, ||a|| and
+    ||a||^2 / eta (DegenerateGapError when eta <= 1e-12).
+    """
+    eta = abs(c - lam_r)
+    if kind is BoundKind.SMALLEST_NONZERO_LOWER:
+        term = lili_term(eta, a_sq)
+    elif kind is BoundKind.WEYL_LOWER:
+        term = np.sqrt(a_sq)
+    else:
+        if eta <= GAP_TOL:
+            raise DegenerateGapError(
+                f"gap |c - lambda_r| = {eta:.3e} is degenerate; the bound is vacuous"
+            )
+        term = a_sq / eta
+    return min(c, lam_r) - term
+
+
+def _lower_report(kind: BoundKind, arr: ArrowMatrix, r: int | None) -> BoundReport:
+    w, r = _rank_checked(arr, r)
+    bound = arrow_lower(kind, arr.c, w[r - 1], float(arr.a @ arr.a))
+    exact = eig_sym(arr.materialize()).eigenvalues[r]
+    return BoundReport(kind, float(bound), float(exact))
+
+
 def smallest_nonzero_lower(arr: ArrowMatrix, r: int | None = None) -> BoundReport:
     """Lower bound on lambda_{r+1} of the arrow, M PSD of rank r.
 
@@ -156,21 +184,12 @@ def smallest_nonzero_lower(arr: ArrowMatrix, r: int | None = None) -> BoundRepor
     exact value is lambda_{r+1} of the materialized matrix. Pass r to
     cross-check it against the numerical rank (mismatch is an error).
     """
-    w, r = _rank_checked(arr, r)
-    lam_r = w[r - 1]
-    eta = abs(arr.c - lam_r)
-    bound = min(arr.c, lam_r) - lili_term(eta, float(arr.a @ arr.a))
-    exact = eig_sym(arr.materialize()).eigenvalues[r]
-    return BoundReport(BoundKind.SMALLEST_NONZERO_LOWER, float(bound), float(exact))
+    return _lower_report(BoundKind.SMALLEST_NONZERO_LOWER, arr, r)
 
 
 def weyl_lower(arr: ArrowMatrix, r: int | None = None) -> BoundReport:
     """Weyl-type corollary: min(c, lambda_r(M)) - ||a||."""
-    w, r = _rank_checked(arr, r)
-    lam_r = w[r - 1]
-    bound = min(arr.c, lam_r) - float(np.linalg.norm(arr.a))
-    exact = eig_sym(arr.materialize()).eigenvalues[r]
-    return BoundReport(BoundKind.WEYL_LOWER, float(bound), float(exact))
+    return _lower_report(BoundKind.WEYL_LOWER, arr, r)
 
 
 def mathias_lower(arr: ArrowMatrix, r: int | None = None) -> BoundReport:
@@ -179,13 +198,4 @@ def mathias_lower(arr: ArrowMatrix, r: int | None = None) -> BoundReport:
     Raises DegenerateGapError when |c - lambda_r| <= 1e-12; the quotient is
     vacuous there and callers should fall back to the Weyl or Li-Li bound.
     """
-    w, r = _rank_checked(arr, r)
-    lam_r = w[r - 1]
-    eta = abs(arr.c - lam_r)
-    if eta <= GAP_TOL:
-        raise DegenerateGapError(
-            f"gap |c - lambda_r| = {eta:.3e} is degenerate; the bound is vacuous"
-        )
-    bound = min(arr.c, lam_r) - float(arr.a @ arr.a) / eta
-    exact = eig_sym(arr.materialize()).eigenvalues[r]
-    return BoundReport(BoundKind.MATHIAS_LOWER, float(bound), float(exact))
+    return _lower_report(BoundKind.MATHIAS_LOWER, arr, r)

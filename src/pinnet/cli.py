@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria, dynamics, selection
-from .bounds import lili_term
+from .bounds import BoundKind, arrow_lower
 from .errors import (
+    DegenerateGapError,
     DivergenceError,
     NumericalError,
     PinnetError,
@@ -26,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Graph, degrees, is_connected, laplacian, parse_edge_list
-from .spectral import SymMatrix, eig_sym, lambda_max, lambda_min_gt0
+from .spectral import SymMatrix, eig_sym, lambda_min_gt0, lambda_min_gt0_sorted
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -115,7 +116,7 @@ def load_analysis_config(path: str):
 
     n = int(cfg["n"])
     dyn = _dynamics_from(cfg.get("dynamics", {}))
-    f_bound = dynamics.f_bound_of(dyn)
+    f_bound = dyn.f_bound
     override = cfg.get("f_bound_override")
     if override is not None:
         override = float(override)
@@ -175,19 +176,20 @@ def _sim_config_from(spec, dyn, sim_cfg: dict) -> dynamics.SimConfig:
 
 def cmd_spectrum(args) -> int:
     g = _load_graph(args.graph)
-    lap = laplacian(g)
     pinned = _parse_pinned(args.pinned)
     op = criteria.pinned_operator(g, args.sigma, args.kappa, pinned)
+    lap_w = eig_sym(laplacian(g)).eigenvalues
+    op_w = eig_sym(op).eigenvalues
     payload = {
         "num_nodes": g.num_nodes,
         "num_edges": g.num_edges,
         "connected": is_connected(g),
-        "lambda_min_gt0_laplacian": lambda_min_gt0(lap),
-        "lambda_max_laplacian": lambda_max(lap),
+        "lambda_min_gt0_laplacian": lambda_min_gt0_sorted(lap_w),
+        "lambda_max_laplacian": float(lap_w[0]),
         "sigma": args.sigma,
         "kappa": args.kappa,
         "pinned": list(pinned),
-        "lambda_min_gt0_pinned": lambda_min_gt0(op),
+        "lambda_min_gt0_pinned": lambda_min_gt0_sorted(op_w),
     }
     lines = [
         f"nodes: {g.num_nodes}  edges: {g.num_edges}  connected: {payload['connected']}",
@@ -197,39 +199,35 @@ def cmd_spectrum(args) -> int:
         f"  (sigma={args.sigma:g}, kappa={args.kappa:g}, pinned={list(pinned)})",
     ]
     if args.full:
-        spectrum = eig_sym(op).eigenvalues.tolist()
+        spectrum = op_w.tolist()
         payload["spectrum_pinned"] = spectrum
         lines.append("spectrum(sigma L + kappa P): " + ", ".join(f"{v:.9g}" for v in spectrum))
     _emit(args, lines, payload)
     return EXIT_OK
 
 
-def _step_rows(g, sigma, kappa, pinned):
+_STEP_BOUNDS = {"lili": BoundKind.SMALLEST_NONZERO_LOWER, "weyl": BoundKind.WEYL_LOWER,
+                "mathias": BoundKind.MATHIAS_LOWER}
+
+
+def _step_rows(g, sigma, kappa, pinned, s, exact):
+    """Per pin append: the arrow lower bounds and the exact lambda_min>0 after it.
+
+    s and exact are lambda_min>0 before the first and after the last append.
+    """
     deg = degrees(g)
-    mu_prev = sigma * lambda_min_gt0(laplacian(g))
+    mus = [lambda_min_gt0(criteria.pinned_operator(g, sigma, kappa, pinned[:k]))
+           for k in range(1, len(pinned))] + [exact]
     rows = []
-    acc: list[int] = []
-    for step, node in enumerate(pinned, start=1):
-        acc.append(node)
+    for step, (node, mu_prev, mu) in enumerate(zip(pinned, [s] + mus, mus), start=1):
         w = sigma * kappa * float(deg[node])
-        eta = abs(kappa - mu_prev)
-        base = min(kappa, mu_prev)
-        lili = base - lili_term(eta, w)
-        weyl = base - np.sqrt(w)
-        mathias = base - w / eta if eta > 1e-12 else None
-        exact = lambda_min_gt0(criteria.pinned_operator(g, sigma, kappa, acc))
-        rows.append(
-            {
-                "step": step,
-                "node": node,
-                "degree": int(deg[node]),
-                "lili": float(lili),
-                "weyl": float(weyl),
-                "mathias": None if mathias is None else float(mathias),
-                "exact": float(exact),
-            }
-        )
-        mu_prev = exact
+        row = {"step": step, "node": node, "degree": int(deg[node]), "exact": float(mu)}
+        for key, kind in _STEP_BOUNDS.items():
+            try:
+                row[key] = float(arrow_lower(kind, kappa, mu_prev, w))
+            except DegenerateGapError:  # a degenerate Mathias gap
+                row[key] = None
+        rows.append(row)
     return rows
 
 
@@ -251,21 +249,21 @@ def cmd_bounds(args) -> int:
         f"sigma*lambda_min>0(L) = {_fmt(s)}",
         f"exact lambda_min>0(sigma L + kappa P) = {_fmt(exact)}",
     ]
-    if pinned and kappa <= s:
+    try:
+        bound = criteria.certificate_bound(s, sigma, kappa, deg[list(pinned)])
+    except PreconditionError:
         payload["iterative_bound"] = None
         payload["iterative_bound_reason"] = (
             f"undefined (kappa {kappa:g} <= sigma*lambda_min>0(L) {s:g})"
         )
         lines.append(f"iterative bound: {payload['iterative_bound_reason']}")
     else:
-        eta = kappa - s
-        bound = s - sum(lili_term(eta, sigma * kappa * float(deg[i])) for i in pinned)
         payload["iterative_bound"] = bound
         payload["iterative_bound_slack"] = exact - bound
         lines.append(
             f"iterative bound = {_fmt(bound)}   slack = {_fmt(exact - bound)}"
         )
-    rows = _step_rows(g, sigma, kappa, pinned)
+    rows = _step_rows(g, sigma, kappa, pinned, s, exact)
     payload["steps"] = rows
     if rows:
         lines.append("per-step bounds (from the column-append sequence):")

@@ -29,12 +29,17 @@ the sum only subtracts more. The bound saturates at sigma*(lambda_min>0(L) -
 sum deg_i) as kappa grows, so a positive certificate needs the pinned degree
 sum to stay below the algebraic connectivity; kappa_threshold reports when
 that fails.
+
+Each spectral quantity is computed once per spec: sigma lambda_min>0(L),
+lambda_min(QB + B^T Q^T) and ||Q|| are memoised on it at first read (a failure
+raises again on the next read), and exact_condition solves the operator once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from .spectral import (
     eig_sym,
     lambda_min,
     lambda_min_gt0,
+    lambda_min_gt0_sorted,
     spectral_norm,
 )
 
@@ -80,6 +86,9 @@ class PinnedSystemSpec:
             raise ValidationError(f"kappa must be non-negative, got {self.kappa}")
         if self.f_bound < 0:
             raise ValidationError(f"f_bound must be non-negative, got {self.f_bound}")
+        for name in ("sigma", "kappa", "f_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         q = as_sym_matrix(self.q_matrix)
         object.__setattr__(self, "q_matrix", q)
         n = q.dim
@@ -111,6 +120,19 @@ class PinnedSystemSpec:
     @property
     def state_dim(self) -> int:
         return self.q_matrix.dim
+
+    @cached_property
+    def _sigma_lambda(self) -> float:
+        return self.sigma * lambda_min_gt0(laplacian(self.graph))
+
+    @cached_property
+    def _qb_lambda_min(self) -> float:
+        qb = self.q_matrix.array @ self.b_matrix
+        return lambda_min(SymMatrix(qb + qb.T))
+
+    @cached_property
+    def _q_norm(self) -> float:
+        return spectral_norm(self.q_matrix.array)
 
 
 @dataclass
@@ -168,19 +190,18 @@ class CriterionReport:
         return out
 
 
-def pinning_matrix(num_nodes: int, pinned) -> np.ndarray:
-    """Diagonal 0/1 selector of the pinned nodes."""
-    p = np.zeros((num_nodes, num_nodes))
-    for i in pinned:
-        if not 0 <= i < num_nodes:
-            raise ValidationError(f"pinned index {i} out of range")
-        p[i, i] = 1.0
-    return p
-
-
 def pinned_operator(g: Graph, sigma: float, kappa: float, pinned) -> SymMatrix:
-    """sigma L + kappa P as a dense symmetric matrix."""
-    arr = sigma * laplacian(g).array + kappa * pinning_matrix(g.num_nodes, pinned)
+    """sigma L + kappa P as a dense symmetric matrix, P the 0/1 pinned diagonal."""
+    pinned = list(pinned)
+    for i in pinned:
+        if not 0 <= i < g.num_nodes:
+            raise ValidationError(f"pinned index {i} out of range")
+    if len(set(pinned)) != len(pinned):
+        raise ValidationError(f"pinned indices must be distinct: {tuple(pinned)}")
+    p = np.zeros(g.num_nodes)
+    p[pinned] = 1.0
+    arr = sigma * laplacian(g).array
+    arr[np.diag_indices(g.num_nodes)] += kappa * p
     return SymMatrix(arr)
 
 
@@ -224,37 +245,38 @@ def check_structural(spec: PinnedSystemSpec, tol: float = 1e-9) -> StructuralChe
     q = spec.q_matrix.array
     qk = q @ spec.k_matrix
     qb = q @ spec.b_matrix
-    s = qb + qb.T
-    residual = spectral_norm(qk + qk.T - spec.kappa * s)
+    residual = spectral_norm(qk + qk.T - spec.kappa * (qb + qb.T))
     identity_ok = residual <= tol * (1.0 + spectral_norm(qk))
-    lam = lambda_min(SymMatrix(s))
+    lam = spec._qb_lambda_min
     return StructuralCheck(bool(identity_ok and lam >= -tol), float(residual), float(lam))
-
-
-def qb_symmetrized(spec: PinnedSystemSpec) -> SymMatrix:
-    qb = spec.q_matrix.array @ spec.b_matrix
-    return SymMatrix(qb + qb.T)
 
 
 def rhs_threshold(spec: PinnedSystemSpec) -> float:
     """Decay threshold 2 f_bound ||Q|| / lambda_min(QB + B^T Q^T)."""
-    lam = lambda_min(qb_symmetrized(spec))
+    lam = spec._qb_lambda_min
     if lam <= QB_DEGENERATE_TOL:
         raise PreconditionError(
             f"lambda_min(QB + B^T Q^T) = {lam:.3e} is not strictly positive; "
             "the threshold quotient is degenerate"
         )
-    return 2.0 * spec.f_bound * spectral_norm(spec.q_matrix.array) / lam
+    return 2.0 * spec.f_bound * spec._q_norm / lam
 
 
 def sigma_lambda_min_gt0(spec: PinnedSystemSpec) -> float:
     """sigma times the smallest nonzero Laplacian eigenvalue."""
-    return spec.sigma * lambda_min_gt0(laplacian(spec.graph))
+    return spec._sigma_lambda
 
 
-def check_f_condition(spec: PinnedSystemSpec) -> bool:
-    """True iff rhs_threshold < sigma lambda_min>0(L), strictly."""
-    return rhs_threshold(spec) < sigma_lambda_min_gt0(spec)
+def certificate_bound(s: float, sigma: float, kappa: float, pinned_degrees) -> float:
+    """s - sum_i lili_term(kappa - s, sigma kappa deg_i); kappa > s unless no pins."""
+    if len(pinned_degrees) == 0:
+        return s
+    if kappa <= s:
+        raise PreconditionError(
+            f"kappa = {kappa:.6g} must exceed sigma*lambda_min>0(L) = {s:.6g}"
+        )
+    eta = kappa - s
+    return s - sum(lili_term(eta, sigma * kappa * float(d)) for d in pinned_degrees)
 
 
 def iterative_bound(spec: PinnedSystemSpec) -> float:
@@ -266,26 +288,8 @@ def iterative_bound(spec: PinnedSystemSpec) -> float:
     returns sigma lambda_min>0(L) exactly. Requires kappa strictly above
     sigma lambda_min>0(L) otherwise (the certificate regime).
     """
-    s = sigma_lambda_min_gt0(spec)
-    if not spec.pinned:
-        return s
-    if spec.kappa <= s:
-        raise PreconditionError(
-            f"kappa = {spec.kappa:.6g} must exceed sigma*lambda_min>0(L) = {s:.6g}"
-        )
-    deg = degrees(spec.graph)
-    eta = spec.kappa - s
-    total = sum(
-        lili_term(eta, spec.sigma * spec.kappa * float(deg[i])) for i in spec.pinned
-    )
-    return s - total
-
-
-def _mathias_chain_bound(s: float, sigma: float, kappa: float, deg_sum: float) -> float:
-    """Weaker quotient-form variant of iterative_bound, monotone in kappa."""
-    if deg_sum == 0:
-        return s
-    return s - sigma * kappa * deg_sum / (kappa - s)
+    deg = degrees(spec.graph)[list(spec.pinned)]
+    return certificate_bound(sigma_lambda_min_gt0(spec), spec.sigma, spec.kappa, deg)
 
 
 def kappa_threshold(spec: PinnedSystemSpec) -> float:
@@ -336,17 +340,16 @@ def exact_condition(spec: PinnedSystemSpec) -> ExactCheck:
     """
     rhs = rhs_threshold(spec)
     op = pinned_operator(spec.graph, spec.sigma, spec.kappa, spec.pinned)
-    lam_gt0 = lambda_min_gt0(op)
-    lam_min_true = lambda_min(op)
-    lam_s = lambda_min(qb_symmetrized(spec))
+    w = eig_sym(op).eigenvalues
+    lam_gt0 = lambda_min_gt0_sorted(w)
     ok = lam_gt0 >= rhs - EXACT_MARGIN * (1.0 + abs(rhs))
     return ExactCheck(
         ok=bool(ok),
         exact_lambda=float(lam_gt0),
-        exact_lambda_min=float(lam_min_true),
+        exact_lambda_min=float(w[-1]),
         rhs=float(rhs),
-        product_lhs=float(0.5 * lam_min_true * lam_s),
-        product_rhs=float(spec.f_bound * spectral_norm(spec.q_matrix.array)),
+        product_lhs=float(0.5 * w[-1] * spec._qb_lambda_min),
+        product_rhs=float(spec.f_bound * spec._q_norm),
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,6 @@ class ScalarSaturatedDynamics:
 NodeDynamics = LinearDynamics | ScalarSaturatedDynamics
 
 
-def f_bound_of(dynamics: NodeDynamics) -> float:
-    """Closed-form sup ||F(xi, xi~)|| for a shipped dynamics family."""
-    return dynamics.f_bound
-
-
 @dataclass(frozen=True)
 class SimConfig:
     system: PinnedSystemSpec
@@ -121,6 +117,9 @@ class SimConfig:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.dt > self.t_end - self.t0:
             raise ValidationError("dt must not exceed the time span")
+        for name in ("t0", "t_end", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -64,36 +64,32 @@ class IncidenceMatrix:
         object.__setattr__(self, "entries", arr)
 
 
+def _edge_array(g: Graph) -> np.ndarray:
+    return np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+
+
 def laplacian(g: Graph) -> SymMatrix:
     """Combinatorial Laplacian L = D - A (symmetric PSD, zero row sums)."""
-    return SymMatrix(_laplacian_int(g).astype(float))
-
-
-def _laplacian_int(g: Graph) -> np.ndarray:
-    L = np.zeros((g.num_nodes, g.num_nodes), dtype=np.int64)
-    for u, v in g.edges:
-        L[u, u] += 1
-        L[v, v] += 1
-        L[u, v] -= 1
-        L[v, u] -= 1
-    return L
+    u, v = _edge_array(g).T
+    lap = np.zeros((g.num_nodes, g.num_nodes), dtype=np.int64)
+    lap[u, v] = lap[v, u] = -1
+    lap[np.diag_indices(g.num_nodes)] = -lap.sum(axis=1)
+    return SymMatrix(lap.astype(float))
 
 
 def incidence(g: Graph) -> IncidenceMatrix:
     """Signed incidence factor of the Laplacian: entries @ entries.T == L."""
+    u, v = _edge_array(g).T
+    cols = np.arange(g.num_edges)
     inc = np.zeros((g.num_nodes, g.num_edges), dtype=np.int64)
-    for col, (u, v) in enumerate(g.edges):
-        inc[u, col] = -1
-        inc[v, col] = 1
+    inc[u, cols] = -1
+    inc[v, cols] = 1
     return IncidenceMatrix(inc)
 
 
 def degrees(g: Graph) -> np.ndarray:
     """Per-node edge counts; sums to twice the edge count."""
-    deg = np.zeros(g.num_nodes, dtype=np.int64)
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = np.bincount(_edge_array(g).ravel(), minlength=g.num_nodes).astype(np.int64)
     deg.setflags(write=False)
     return deg
 

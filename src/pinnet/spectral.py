@@ -116,13 +116,16 @@ def default_rank_tol(lam_max: float) -> float:
 
 
 def lambda_min_gt0(m, rank_tol: float | None = None) -> float:
-    """Smallest eigenvalue strictly above the rank tolerance of a PSD matrix.
+    """Smallest eigenvalue strictly above the rank tolerance of a PSD matrix."""
+    return lambda_min_gt0_sorted(eig_sym(m).eigenvalues, rank_tol)
+
+
+def lambda_min_gt0_sorted(w: np.ndarray, rank_tol: float | None = None) -> float:
+    """lambda_min_gt0 read from eigenvalues already sorted descending.
 
     Raises NotPSDError if an eigenvalue falls below -rank_tol and
     NoNonzeroEigenvalueError if every eigenvalue is within the tolerance.
     """
-    spec = eig_sym(m)
-    w = spec.eigenvalues
     if rank_tol is None:
         rank_tol = default_rank_tol(w[0])
     if w[-1] < -rank_tol:

@@ -144,7 +144,7 @@ def test_acceptance_3_threshold_round_trip():
             fb = float(rng.uniform(0.05, 0.95)) * sigma
             pinned = (int(rng.integers(0, n)),)
         probe = scalar_spec(g, sigma, 1.0, pinned, fb)
-        if not pn.check_f_condition(probe):
+        if not pn.rhs_threshold(probe) < pn.sigma_lambda_min_gt0(probe):
             continue
         kthr = pn.kappa_threshold(probe)
         spec = scalar_spec(g, sigma, kthr, pinned, fb)

@@ -93,6 +93,16 @@ def test_missing_graph_exits_2(tmp_path, capsys):
     assert main(["spectrum", str(tmp_path / "nope.txt")]) == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "spectrum"])
+@pytest.mark.parametrize("pinned", ["7", "-1", "0,0"])
+def test_bad_pinned_exits_2(graph_file, capsys, command, pinned):
+    path = graph_file(complete_graph(5), "k5.txt")
+    assert main([command, path, "--kappa", "50", "--pinned", pinned]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pinned ind" in captured.err
+
+
 def test_bounds_path3(graph_file, capsys):
     path = graph_file(path_graph(3), "p3.txt")
     code, payload = run_json(
@@ -172,6 +182,17 @@ def test_kappa_f_condition_fails_exits_3(tmp_path, graph_file, capsys):
     assert code == 3
     assert "rhs_threshold" in captured.err
     assert json.loads(captured.out)["f_condition_ok"] is False
+
+
+def test_kappa_non_finite_sigma_exits_2(tmp_path, graph_file, capsys):
+    path = graph_file(complete_graph(3), "k3.txt")
+    doc = config_doc(path, 1.0, 20.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1})
+    doc["sigma"] = float("nan")
+    cfg = write_config(tmp_path, doc)  # json writes the NaN literal, which json.loads accepts
+    assert main(["kappa", cfg, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma must be finite" in captured.err
 
 
 def test_kappa_structural_violation_exits_0(tmp_path, graph_file, capsys):

@@ -10,7 +10,6 @@ from pinnet import (
     SymMatrix,
     ThresholdUndefinedError,
     ValidationError,
-    check_f_condition,
     check_structural,
     complete_graph,
     eig_sym,
@@ -109,9 +108,13 @@ def test_rhs_threshold_degenerate():
 
 def test_f_condition():
     g = path_graph(3)  # sigma*lambda_min>0 = 1
-    assert check_f_condition(scalar_spec(g, 1.0, 1.0, (), 0.5))
-    assert not check_f_condition(scalar_spec(g, 1.0, 1.0, (), 1.5))
-    assert check_f_condition(scalar_spec(g, 1.0, 1.0, (), 0.0))
+
+    def f_condition(spec):
+        return rhs_threshold(spec) < sigma_lambda_min_gt0(spec)
+
+    assert f_condition(scalar_spec(g, 1.0, 1.0, (), 0.5))
+    assert not f_condition(scalar_spec(g, 1.0, 1.0, (), 1.5))
+    assert f_condition(scalar_spec(g, 1.0, 1.0, (), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +371,13 @@ def test_pinning_arrow_steps_final_matches():
 def test_spec_validation():
     with pytest.raises(ValidationError):
         scalar_spec(path_graph(3), -1.0, 1.0, (), 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="sigma must be finite"):
+            scalar_spec(path_graph(3), bad, 1.0, (), 0.0)
+        with pytest.raises(ValidationError, match="kappa must be finite"):
+            scalar_spec(path_graph(3), 1.0, bad, (), 0.0)
+        with pytest.raises(ValidationError, match="f_bound must be finite"):
+            scalar_spec(path_graph(3), 1.0, 1.0, (), bad)
     with pytest.raises(ValidationError):
         scalar_spec(path_graph(3), 1.0, 1.0, (0, 0), 0.0)
     with pytest.raises(ValidationError):

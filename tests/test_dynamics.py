@@ -14,7 +14,6 @@ from pinnet import (
     SimConfig,
     ValidationError,
     check_decay,
-    f_bound_of,
     laplacian,
     path_graph,
     rhs,
@@ -42,9 +41,9 @@ def single_node_spec(kappa):
 
 
 def test_f_bound_values():
-    assert f_bound_of(LinearDynamics(np.diag([0.5, -0.2]))) == pytest.approx(0.5)
-    assert f_bound_of(ScalarSaturatedDynamics(0.3, 0.1)) == pytest.approx(0.4)
-    assert f_bound_of(LinearDynamics(np.zeros((2, 2)))) == 0.0
+    assert LinearDynamics(np.diag([0.5, -0.2])).f_bound == pytest.approx(0.5)
+    assert ScalarSaturatedDynamics(0.3, 0.1).f_bound == pytest.approx(0.4)
+    assert LinearDynamics(np.zeros((2, 2))).f_bound == 0.0
 
 
 def test_coupling_ratio_identity():
@@ -262,3 +261,13 @@ def test_sim_config_validation():
     spec2 = scalar_spec(path_graph(3), 1.0, 2.0, (0,), 0.4)
     with pytest.raises(ValidationError):
         SimConfig(spec2, LinearDynamics(np.eye(2)), np.zeros((3, 2)), np.zeros(2), 0.0, 1.0, 0.1)
+    dyn = ScalarSaturatedDynamics(0.1, 0.1)
+    for t0, t_end, dt in [
+        (0.0, math.nan, 0.1),
+        (0.0, math.inf, 0.1),
+        (0.0, 1.0, math.nan),
+        (0.0, math.inf, math.inf),
+        (math.nan, 1.0, 0.1),
+    ]:
+        with pytest.raises(ValidationError, match="must be finite"):
+            SimConfig(spec, dyn, np.zeros((3, 1)), np.zeros(1), t0, t_end, dt)

@@ -155,3 +155,21 @@ def test_incidence_sign_flip_irrelevant(g, seed):
 @given(graphs())
 def test_degree_sum(g):
     assert degrees(g).sum() == 2 * g.num_edges
+
+
+@given(graphs())
+def test_vectorized_assembly_matches_edge_loop(g):
+    lap = np.zeros((g.num_nodes, g.num_nodes), dtype=np.int64)
+    inc = np.zeros((g.num_nodes, g.num_edges), dtype=np.int64)
+    for col, (u, v) in enumerate(g.edges):
+        lap[u, u] += 1
+        lap[v, v] += 1
+        lap[u, v] -= 1
+        lap[v, u] -= 1
+        inc[u, col] = -1
+        inc[v, col] = 1
+    assert np.array_equal(laplacian(g).array, lap.astype(float))
+    assert incidence(g).entries.dtype == np.int64
+    assert np.array_equal(incidence(g).entries, inc)
+    assert degrees(g).dtype == np.int64
+    assert np.array_equal(degrees(g), np.diag(lap))
