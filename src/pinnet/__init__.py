@@ -29,8 +29,6 @@ from .criteria import (
     iterative_bound,
     kappa_threshold,
     pinned_operator,
-    pinning_arrow_steps,
-    pinning_gram_factor,
     rhs_threshold,
     sigma_lambda_min_gt0,
 )
@@ -96,7 +94,6 @@ from .spectral import (
     lambda_max,
     lambda_min,
     lambda_min_gt0,
-    numerical_rank,
     spectral_norm,
 )
 

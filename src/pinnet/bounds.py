@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, NotPSDError, PreconditionError, ValidationError
-from .spectral import SymMatrix, as_sym_matrix, default_rank_tol, eig_sym
+from .spectral import SymMatrix, default_rank_tol, eig_sym
 
 GAP_TOL = 1e-12
 
@@ -74,10 +74,6 @@ class ArrowMatrix:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", float(self.c))
 
-    @property
-    def dim(self) -> int:
-        return self.m.dim + 1
-
     def materialize(self) -> SymMatrix:
         d = self.m.dim
         full = np.empty((d + 1, d + 1))
@@ -129,23 +125,17 @@ def lili_lower_max(arr: ArrowMatrix) -> BoundReport:
     return BoundReport(BoundKind.LILI_LOWER_MAX, float(bound), float(exact))
 
 
-def _rank_checked(arr: ArrowMatrix, r: int | None) -> tuple[np.ndarray, int]:
-    """Eigenvalues of M and its numerical rank, cross-checked against r."""
+def _rank_checked(arr: ArrowMatrix) -> tuple[np.ndarray, int]:
+    """Eigenvalues of M and its numerical rank r >= 1 (M must be PSD)."""
     w = eig_sym(arr.m).eigenvalues
     tol = default_rank_tol(w[0])
     if w[-1] < -tol:
         raise NotPSDError(
             f"principal block is not PSD: lambda_min = {w[-1]:.3e} < -{tol:.3e}"
         )
-    computed = int((w > tol).sum())
-    if computed < 1:
+    r = int((w > tol).sum())
+    if r < 1:
         raise PreconditionError("principal block has numerical rank 0")
-    if r is None:
-        r = computed
-    elif r != computed:
-        raise PreconditionError(
-            f"supplied rank {r} disagrees with numerical rank {computed}"
-        )
     return w, r
 
 
@@ -170,32 +160,31 @@ def arrow_lower(kind: BoundKind, c: float, lam_r: float, a_sq: float) -> float:
     return min(c, lam_r) - term
 
 
-def _lower_report(kind: BoundKind, arr: ArrowMatrix, r: int | None) -> BoundReport:
-    w, r = _rank_checked(arr, r)
+def _lower_report(kind: BoundKind, arr: ArrowMatrix) -> BoundReport:
+    w, r = _rank_checked(arr)
     bound = arrow_lower(kind, arr.c, w[r - 1], float(arr.a @ arr.a))
     exact = eig_sym(arr.materialize()).eigenvalues[r]
     return BoundReport(kind, float(bound), float(exact))
 
 
-def smallest_nonzero_lower(arr: ArrowMatrix, r: int | None = None) -> BoundReport:
-    """Lower bound on lambda_{r+1} of the arrow, M PSD of rank r.
+def smallest_nonzero_lower(arr: ArrowMatrix) -> BoundReport:
+    """Lower bound on lambda_{r+1} of the arrow, M PSD of numerical rank r.
 
     bound = min(c, lambda_r(M)) - 2||a||^2 / (eta_r + sqrt(eta_r^2 + 4||a||^2)),
-    exact value is lambda_{r+1} of the materialized matrix. Pass r to
-    cross-check it against the numerical rank (mismatch is an error).
+    exact value is lambda_{r+1} of the materialized matrix.
     """
-    return _lower_report(BoundKind.SMALLEST_NONZERO_LOWER, arr, r)
+    return _lower_report(BoundKind.SMALLEST_NONZERO_LOWER, arr)
 
 
-def weyl_lower(arr: ArrowMatrix, r: int | None = None) -> BoundReport:
+def weyl_lower(arr: ArrowMatrix) -> BoundReport:
     """Weyl-type corollary: min(c, lambda_r(M)) - ||a||."""
-    return _lower_report(BoundKind.WEYL_LOWER, arr, r)
+    return _lower_report(BoundKind.WEYL_LOWER, arr)
 
 
-def mathias_lower(arr: ArrowMatrix, r: int | None = None) -> BoundReport:
+def mathias_lower(arr: ArrowMatrix) -> BoundReport:
     """Mathias-type corollary: min(c, lambda_r(M)) - ||a||^2 / |c - lambda_r(M)|.
 
     Raises DegenerateGapError when |c - lambda_r| <= 1e-12; the quotient is
     vacuous there and callers should fall back to the Weyl or Li-Li bound.
     """
-    return _lower_report(BoundKind.MATHIAS_LOWER, arr, r)
+    return _lower_report(BoundKind.MATHIAS_LOWER, arr)

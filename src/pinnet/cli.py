@@ -1,7 +1,8 @@
 """Command-line front-end: spectra, bounds, thresholds, selection, simulation.
 
 Commands: spectrum, bounds, kappa, select, simulate. Every command accepts
---json (emit one JSON document on stdout and nothing else) and --tol.
+--json (emit one JSON document on stdout and nothing else); kappa and
+simulate also accept --tol, the structural tolerance of the criteria.
 
 Exit codes: 0 success including negative findings, 2 input or validation
 problems, 3 precondition-undefined outcomes, 4 numerical failures.
@@ -38,7 +39,7 @@ EXIT_NUMERICAL = 4
 def _load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read graph file {path}: {exc}") from exc
     return parse_edge_list(text)
 
@@ -69,11 +70,20 @@ def _fmt(value, digits=12):
 # config loading
 
 
-def _matrix_from(cfg: dict, key: str, n: int) -> np.ndarray:
+def _field(cfg: dict, key: str, convert):
+    """convert(cfg[key]); a missing or unconvertible value is a ValidationError."""
     try:
-        arr = np.asarray(cfg[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        return convert(cfg[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"config field {key!r} missing or malformed") from exc
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _matrix_from(cfg: dict, key: str, n: int) -> np.ndarray:
+    arr = _field(cfg, key, _array)
     if arr.shape != (n, n):
         raise ValidationError(f"config field {key!r} must be {n}x{n}, got {arr.shape}")
     return arr
@@ -87,7 +97,7 @@ def _dynamics_from(cfg: dict) -> dynamics.NodeDynamics:
     if kind == "linear":
         if "matrix" not in cfg:
             raise ValidationError("linear dynamics needs a 'matrix'")
-        return dynamics.LinearDynamics(np.asarray(cfg["matrix"], dtype=float))
+        return dynamics.LinearDynamics(_field(cfg, "matrix", _array))
     if kind == "scalar_saturated":
         try:
             return dynamics.ScalarSaturatedDynamics(float(cfg["a"]), float(cfg["b"]))
@@ -105,21 +115,23 @@ def load_analysis_config(path: str):
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {path} must be a JSON object")
 
     for field in ("graph_path", "sigma", "kappa", "pinned", "n"):
         if field not in cfg:
             raise ValidationError(f"config missing required field {field!r}")
-    graph_path = Path(cfg["graph_path"])
+    graph_path = _field(cfg, "graph_path", Path)
     if not graph_path.is_absolute():
         graph_path = cfg_path.parent / graph_path
     g = _load_graph(str(graph_path))
 
-    n = int(cfg["n"])
+    n = _field(cfg, "n", int)
     dyn = _dynamics_from(cfg.get("dynamics", {}))
     f_bound = dyn.f_bound
     override = cfg.get("f_bound_override")
     if override is not None:
-        override = float(override)
+        override = _field(cfg, "f_bound_override", float)
         if override < f_bound - 1e-12:
             print(
                 f"warning: f_bound_override {override:.6g} is below the "
@@ -130,18 +142,20 @@ def load_analysis_config(path: str):
 
     spec = criteria.PinnedSystemSpec(
         graph=g,
-        sigma=float(cfg["sigma"]),
-        kappa=float(cfg["kappa"]),
+        sigma=_field(cfg, "sigma", float),
+        kappa=_field(cfg, "kappa", float),
         b_matrix=_matrix_from(cfg, "b", n),
         k_matrix=_matrix_from(cfg, "k", n),
         q_matrix=SymMatrix(_matrix_from(cfg, "q", n)),
-        pinned=tuple(int(i) for i in cfg["pinned"]),
+        pinned=_field(cfg, "pinned", lambda v: tuple(int(i) for i in v)),
         f_bound=f_bound,
     )
     return spec, dyn, cfg.get("sim")
 
 
 def _sim_config_from(spec, dyn, sim_cfg: dict) -> dynamics.SimConfig:
+    if not isinstance(sim_cfg, dict):
+        raise ValidationError("sim block must be a JSON object")
     for field in ("t0", "t_end", "dt", "s0"):
         if field not in sim_cfg:
             raise ValidationError(f"sim block missing required field {field!r}")
@@ -153,20 +167,20 @@ def _sim_config_from(spec, dyn, sim_cfg: dict) -> dynamics.SimConfig:
     if isinstance(x0_cfg, dict):
         if "seed" not in x0_cfg:
             raise ValidationError("random x0 needs a 'seed' for reproducibility")
-        rng = np.random.default_rng(int(x0_cfg["seed"]))
-        low = float(x0_cfg.get("low", -1.0))
-        high = float(x0_cfg.get("high", 1.0))
+        rng = np.random.default_rng(_field(x0_cfg, "seed", int))
+        low = _field(x0_cfg, "low", float) if "low" in x0_cfg else -1.0
+        high = _field(x0_cfg, "high", float) if "high" in x0_cfg else 1.0
         x0 = rng.uniform(low, high, size=(n_nodes, n))
     else:
-        x0 = np.asarray(x0_cfg, dtype=float)
+        x0 = _field(sim_cfg, "x0", _array)
     return dynamics.SimConfig(
         system=spec,
         dynamics=dyn,
         x0=x0,
-        s0=np.asarray(sim_cfg["s0"], dtype=float),
-        t0=float(sim_cfg["t0"]),
-        t_end=float(sim_cfg["t_end"]),
-        dt=float(sim_cfg["dt"]),
+        s0=_field(sim_cfg, "s0", _array),
+        t0=_field(sim_cfg, "t0", float),
+        t_end=_field(sim_cfg, "t_end", float),
+        dt=_field(sim_cfg, "dt", float),
     )
 
 
@@ -235,8 +249,8 @@ def cmd_bounds(args) -> int:
     g = _load_graph(args.graph)
     pinned = _parse_pinned(args.pinned)
     sigma, kappa = args.sigma, args.kappa
-    s = sigma * lambda_min_gt0(laplacian(g))
     exact = lambda_min_gt0(criteria.pinned_operator(g, sigma, kappa, pinned))
+    s = sigma * lambda_min_gt0(laplacian(g))
     deg = degrees(g)
     payload = {
         "sigma": sigma,
@@ -337,22 +351,17 @@ def cmd_simulate(args) -> int:
         raise ValidationError("config has no 'sim' block")
     config = _sim_config_from(spec, dyn, sim_cfg)
     report = criteria.evaluate(spec, tol=args.tol)
-    diverged = False
-    last_time = None
+    diverged_at = None
     try:
         traj = dynamics.simulate(config)
     except DivergenceError as exc:
-        diverged = True
-        last_time = exc.time
-        traj = exc.trajectory
-    if traj is not None and args.out:
+        diverged_at, traj = exc.time, exc.trajectory
+    if args.out:
         dynamics.write_trajectory_csv(traj, args.out)
     summary = {
-        "decayed": bool(dynamics.check_decay(traj)) if traj is not None else False,
-        "final_error_norm": traj.final_error_norm() if traj is not None else None,
-        "steps": traj.steps if traj is not None else 0,
-        "diverged": diverged,
-        "diverged_at": last_time,
+        **dynamics.trajectory_summary(traj),
+        "diverged": diverged_at is not None,
+        "diverged_at": diverged_at,
         "verdict_theorem": report.verdict_theorem,
         "verdict_exact": report.verdict_exact,
         "csv": args.out,
@@ -368,7 +377,8 @@ def cmd_simulate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument("--tol", type=float, default=1e-9, help="structural tolerance")
+    with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_tol.add_argument("--tol", type=float, default=1e-9, help="structural tolerance")
 
     parser = argparse.ArgumentParser(
         prog="pinnet",
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pinned", default="")
     p.set_defaults(handler=cmd_bounds)
 
-    p = sub.add_parser("kappa", parents=[common], help="criterion report and gain threshold")
+    p = sub.add_parser("kappa", parents=[with_tol], help="criterion report and gain threshold")
     p.add_argument("config", help="analysis config JSON")
     p.set_defaults(handler=cmd_kappa)
 
@@ -407,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_select)
 
-    p = sub.add_parser("simulate", parents=[common], help="integrate and verify decay")
+    p = sub.add_parser("simulate", parents=[with_tol], help="integrate and verify decay")
     p.add_argument("config")
     p.add_argument("--out", default=None, help="trajectory CSV path")
     p.set_defaults(handler=cmd_simulate)

@@ -43,9 +43,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import ArrowMatrix, assemble_arrow, lili_term
+from .bounds import lili_term
 from .errors import PinnetError, PreconditionError, ThresholdUndefinedError, ValidationError
-from .graphs import Graph, connected_components, degrees, incidence, is_connected, laplacian
+from .graphs import Graph, connected_components, degrees, is_connected, laplacian
 from .spectral import (
     SymMatrix,
     as_sym_matrix,
@@ -59,6 +59,28 @@ from .spectral import (
 EXACT_MARGIN = 1e-12
 QB_DEGENERATE_TOL = 1e-12
 Q_PD_RTOL = 1e-10
+
+
+def _check_gains(sigma: float, kappa: float) -> None:
+    """The gain rule: sigma > 0 and kappa >= 0, both finite."""
+    if sigma <= 0:
+        raise ValidationError(f"sigma must be positive, got {sigma}")
+    if kappa < 0:
+        raise ValidationError(f"kappa must be non-negative, got {kappa}")
+    for name, value in (("sigma", sigma), ("kappa", kappa)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def _check_pins(pinned, num_nodes: int) -> tuple[int, ...]:
+    """The pin rule: distinct node indices in range(num_nodes)."""
+    pinned = tuple(int(i) for i in pinned)
+    if len(set(pinned)) != len(pinned):
+        raise ValidationError(f"pinned indices must be distinct: {pinned}")
+    for i in pinned:
+        if not 0 <= i < num_nodes:
+            raise ValidationError(f"pinned index {i} out of range for {num_nodes} nodes")
+    return pinned
 
 
 @dataclass(frozen=True)
@@ -80,15 +102,11 @@ class PinnedSystemSpec:
     f_bound: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if self.kappa < 0:
-            raise ValidationError(f"kappa must be non-negative, got {self.kappa}")
+        _check_gains(self.sigma, self.kappa)
         if self.f_bound < 0:
             raise ValidationError(f"f_bound must be non-negative, got {self.f_bound}")
-        for name in ("sigma", "kappa", "f_bound"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.f_bound):
+            raise ValidationError(f"f_bound must be finite, got {self.f_bound}")
         q = as_sym_matrix(self.q_matrix)
         object.__setattr__(self, "q_matrix", q)
         n = q.dim
@@ -107,15 +125,7 @@ class PinnedSystemSpec:
             raise ValidationError(
                 f"Q must be positive definite: lambda_min = {w[-1]:.3e}"
             )
-        pinned = tuple(int(i) for i in self.pinned)
-        if len(set(pinned)) != len(pinned):
-            raise ValidationError(f"pinned indices must be distinct: {pinned}")
-        for i in pinned:
-            if not 0 <= i < self.graph.num_nodes:
-                raise ValidationError(
-                    f"pinned index {i} out of range for {self.graph.num_nodes} nodes"
-                )
-        object.__setattr__(self, "pinned", pinned)
+        object.__setattr__(self, "pinned", _check_pins(self.pinned, self.graph.num_nodes))
 
     @property
     def state_dim(self) -> int:
@@ -192,52 +202,12 @@ class CriterionReport:
 
 def pinned_operator(g: Graph, sigma: float, kappa: float, pinned) -> SymMatrix:
     """sigma L + kappa P as a dense symmetric matrix, P the 0/1 pinned diagonal."""
-    pinned = list(pinned)
-    for i in pinned:
-        if not 0 <= i < g.num_nodes:
-            raise ValidationError(f"pinned index {i} out of range")
-    if len(set(pinned)) != len(pinned):
-        raise ValidationError(f"pinned indices must be distinct: {tuple(pinned)}")
+    _check_gains(sigma, kappa)
     p = np.zeros(g.num_nodes)
-    p[pinned] = 1.0
+    p[list(_check_pins(pinned, g.num_nodes))] = 1.0
     arr = sigma * laplacian(g).array
     arr[np.diag_indices(g.num_nodes)] += kappa * p
     return SymMatrix(arr)
-
-
-def pinning_gram_factor(g: Graph, sigma: float, kappa: float, pinned) -> np.ndarray:
-    """Column factor [sqrt(kappa) e_r, ..., sqrt(kappa) e_1, sqrt(sigma) I].
-
-    Its Gram (rows) equals sigma L + kappa P exactly, which is the
-    factorization behind all append-a-column bounds.
-    """
-    n = g.num_nodes
-    cols = []
-    for i in reversed(tuple(pinned)):
-        e = np.zeros(n)
-        e[i] = math.sqrt(kappa)
-        cols.append(e)
-    inc = math.sqrt(sigma) * incidence(g).entries.astype(float)
-    pin_block = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return np.hstack([pin_block, inc])
-
-
-def pinning_arrow_steps(g: Graph, sigma: float, kappa: float, pinned) -> list[ArrowMatrix]:
-    """Arrow matrix of each column append in the pinning sequence.
-
-    Step k borders the Gram of [sqrt(kappa) e_{i_{k-1}}, ..., sqrt(sigma) I]
-    with the new column sqrt(kappa) e_{i_k}.
-    """
-    n = g.num_nodes
-    base = math.sqrt(sigma) * incidence(g).entries.astype(float)
-    arrows = []
-    prev = base
-    for i in pinned:
-        x = np.zeros(n)
-        x[i] = math.sqrt(kappa)
-        arrows.append(assemble_arrow(x, prev))
-        prev = np.hstack([x[:, None], prev])
-    return arrows
 
 
 def check_structural(spec: PinnedSystemSpec, tol: float = 1e-9) -> StructuralCheck:

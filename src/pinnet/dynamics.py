@@ -31,6 +31,7 @@ from .graphs import laplacian
 from .spectral import spectral_norm
 
 OVERFLOW_GUARD = 1e12
+HORIZON_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class LinearDynamics:
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if a.shape[0] != a.shape[1]:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"dynamics matrix must be square, got {a.shape}")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
@@ -107,19 +108,31 @@ class SimConfig:
                 f"dynamics dimension {self.dynamics.state_dim} does not match "
                 f"system dimension {n}"
             )
-        x0 = np.asarray(self.x0, dtype=float).reshape(self.system.graph.num_nodes, n)
-        s0 = np.asarray(self.s0, dtype=float).reshape(n)
-        x0.setflags(write=False)
-        s0.setflags(write=False)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "s0", s0)
+        shapes = {"x0": (self.system.graph.num_nodes, n), "s0": (n,)}
+        for name, shape in shapes.items():
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.size != math.prod(shape):
+                raise ValidationError(
+                    f"{name} must hold {math.prod(shape)} values, got {arr.size}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} must be finite")
+            arr = arr.reshape(shape)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.dt <= 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.dt > self.t_end - self.t0:
+        span = self.t_end - self.t0
+        if self.dt > span:
             raise ValidationError("dt must not exceed the time span")
         for name in ("t0", "t_end", "dt"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if abs(round(span / self.dt) * self.dt - span) > HORIZON_RTOL * span:
+            raise ValidationError(
+                f"dt = {self.dt} does not divide t_end - t0 = {span}; "
+                "the run would end before or after t_end"
+            )
 
 
 @dataclass(frozen=True)

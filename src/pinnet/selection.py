@@ -34,10 +34,6 @@ class SelectionResult:
 
 def evaluate_pinning(g: Graph, sigma: float, kappa: float, pinned) -> float:
     """Exact lambda_min>0(sigma L + kappa P)."""
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if kappa < 0:
-        raise ValidationError(f"kappa must be non-negative, got {kappa}")
     return lambda_min_gt0(pinned_operator(g, sigma, kappa, pinned))
 
 

@@ -76,9 +76,6 @@ class Spectrum:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def eig_sym(m) -> Spectrum:
@@ -115,19 +112,19 @@ def default_rank_tol(lam_max: float) -> float:
     return max(RANK_RTOL * max(1.0, abs(lam_max)), RANK_TOL_FLOOR)
 
 
-def lambda_min_gt0(m, rank_tol: float | None = None) -> float:
+def lambda_min_gt0(m) -> float:
     """Smallest eigenvalue strictly above the rank tolerance of a PSD matrix."""
-    return lambda_min_gt0_sorted(eig_sym(m).eigenvalues, rank_tol)
+    return lambda_min_gt0_sorted(eig_sym(m).eigenvalues)
 
 
-def lambda_min_gt0_sorted(w: np.ndarray, rank_tol: float | None = None) -> float:
+def lambda_min_gt0_sorted(w: np.ndarray) -> float:
     """lambda_min_gt0 read from eigenvalues already sorted descending.
 
-    Raises NotPSDError if an eigenvalue falls below -rank_tol and
-    NoNonzeroEigenvalueError if every eigenvalue is within the tolerance.
+    The rank tolerance is default_rank_tol(lambda_max). Raises NotPSDError if
+    an eigenvalue falls below -rank_tol and NoNonzeroEigenvalueError if every
+    eigenvalue is within the tolerance.
     """
-    if rank_tol is None:
-        rank_tol = default_rank_tol(w[0])
+    rank_tol = default_rank_tol(w[0])
     if w[-1] < -rank_tol:
         raise NotPSDError(
             f"matrix is not PSD within tolerance: lambda_min = {w[-1]:.3e} "
@@ -139,14 +136,6 @@ def lambda_min_gt0_sorted(w: np.ndarray, rank_tol: float | None = None) -> float
             f"no eigenvalue above rank tolerance {rank_tol:.3e}"
         )
     return float(positive[-1])
-
-
-def numerical_rank(m, rank_tol: float | None = None) -> int:
-    """Count of eigenvalues above the rank tolerance."""
-    w = eig_sym(m).eigenvalues
-    if rank_tol is None:
-        rank_tol = default_rank_tol(w[0])
-    return int((w > rank_tol).sum())
 
 
 def lambda_min(m) -> float:

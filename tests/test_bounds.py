@@ -122,13 +122,13 @@ def test_lili_sandwich_random():
 
 
 def test_smallest_nonzero_block_diagonal():
-    rep = smallest_nonzero_lower(ArrowMatrix(5.0, [0.0, 0.0], SymMatrix(np.diag([2.0, 0.0]))), r=1)
+    rep = smallest_nonzero_lower(ArrowMatrix(5.0, [0.0, 0.0], SymMatrix(np.diag([2.0, 0.0]))))
     assert rep.bound_value == pytest.approx(2.0, abs=1e-12)
     assert rep.exact_value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_smallest_nonzero_tight_2x2():
-    rep = smallest_nonzero_lower(ArrowMatrix(1.0, [1.0], SymMatrix([[1.0]])), r=1)
+    rep = smallest_nonzero_lower(ArrowMatrix(1.0, [1.0], SymMatrix([[1.0]])))
     assert rep.bound_value == pytest.approx(0.0, abs=1e-12)
     assert rep.exact_value == pytest.approx(0.0, abs=1e-12)
 
@@ -146,30 +146,27 @@ def test_smallest_nonzero_pinned_laplacian():
 
 
 def test_weyl_cases():
-    rep = weyl_lower(ArrowMatrix(5.0, [0.0, 0.0], SymMatrix(np.diag([2.0, 0.0]))), r=1)
+    rep = weyl_lower(ArrowMatrix(5.0, [0.0, 0.0], SymMatrix(np.diag([2.0, 0.0]))))
     assert rep.bound_value == pytest.approx(2.0, abs=1e-12)
-    rep = weyl_lower(ArrowMatrix(1.0, [1.0], SymMatrix([[1.0]])), r=1)
+    rep = weyl_lower(ArrowMatrix(1.0, [1.0], SymMatrix([[1.0]])))
     assert rep.bound_value == pytest.approx(0.0, abs=1e-12)
     assert rep.exact_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mathias_cases():
-    rep = mathias_lower(ArrowMatrix(5.0, [0.0], SymMatrix([[2.0]])), r=1)
+    rep = mathias_lower(ArrowMatrix(5.0, [0.0], SymMatrix([[2.0]])))
     assert rep.bound_value == pytest.approx(2.0, abs=1e-12)
-    rep = mathias_lower(ArrowMatrix(9.0, [2.0], SymMatrix([[1.0]])), r=1)
+    rep = mathias_lower(ArrowMatrix(9.0, [2.0], SymMatrix([[1.0]])))
     assert rep.bound_value == pytest.approx(0.5, abs=1e-12)
     assert rep.exact_value == pytest.approx(5.0 - math.sqrt(20.0), abs=1e-12)
     assert rep.bound_value <= rep.exact_value
     with pytest.raises(DegenerateGapError):
-        mathias_lower(ArrowMatrix(1.0, [1.0], SymMatrix([[1.0]])), r=1)
+        mathias_lower(ArrowMatrix(1.0, [1.0], SymMatrix([[1.0]])))
 
 
 def test_rank_cross_check_and_psd_guard():
-    arr = ArrowMatrix(1.0, [0.0, 0.0], SymMatrix(np.diag([2.0, 0.0])))
-    with pytest.raises(PreconditionError):
-        smallest_nonzero_lower(arr, r=2)
     with pytest.raises(NotPSDError):
-        smallest_nonzero_lower(ArrowMatrix(1.0, [0.0], SymMatrix([[-1.0]])), r=1)
+        smallest_nonzero_lower(ArrowMatrix(1.0, [0.0], SymMatrix([[-1.0]])))
     with pytest.raises(PreconditionError):
         smallest_nonzero_lower(ArrowMatrix(1.0, [0.0], SymMatrix([[0.0]])))
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnet import kappa_threshold, to_edge_list, complete_graph, path_graph, star_graph
 from pinnet.cli import main
@@ -101,6 +105,27 @@ def test_bad_pinned_exits_2(graph_file, capsys, command, pinned):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "pinned ind" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--sigma", "0", "--kappa", "2", "--pinned", "0"],
+        ["spectrum", "--sigma", "0"],
+        ["spectrum", "--sigma", "-1"],
+        ["spectrum", "--kappa", "-1", "--pinned", "0"],
+        ["bounds", "--sigma", "-1", "--kappa", "2", "--pinned", "0"],
+        ["bounds", "--kappa", "-1", "--pinned", "0"],
+    ],
+    ids=["bounds-sigma0", "spectrum-sigma0", "spectrum-sigma-1", "spectrum-kappa-1",
+         "bounds-sigma-1", "bounds-kappa-1"],
+)
+def test_bad_gains_exit_2(graph_file, capsys, argv):
+    path = graph_file(path_graph(4), "p4.txt")
+    assert main([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
 
 
 def test_bounds_path3(graph_file, capsys):
@@ -312,6 +337,16 @@ def test_simulate_divergence_exits_0(tmp_path, graph_file, capsys):
     assert summary["diverged_at"] > 0
 
 
+@pytest.mark.parametrize("x0", [[[0.1], [float("nan")], [0.3]], [[0.1], [0.2]]])
+def test_simulate_bad_x0_exits_2(tmp_path, graph_file, capsys, x0):
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": x0, "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
+    assert main(["simulate", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x0 must" in captured.err
+
+
 def test_simulate_missing_sim_block_exits_2(tmp_path, graph_file, capsys):
     cfg = certified_k3_config(tmp_path, graph_file, sim=None)
     assert main(["simulate", cfg]) == 2
@@ -350,3 +385,33 @@ def test_threshold_round_trip_through_cli(tmp_path, graph_file, capsys):
     assert code == 0
     assert payload["verdict_theorem"] is True
     assert payload["iterative_bound"] >= payload["rhs_threshold"] - 1e-9
+
+
+MALFORMED = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=True), st.text(max_size=3)), max_size=4),
+    st.none(),
+    st.just(float("nan")),
+)
+CONFIG_FIELDS = ["graph_path", "sigma", "kappa", "pinned", "n", "b", "k", "q", "dynamics",
+                 "f_bound_override", "sim"]
+NESTED_FIELDS = ["sim.t0", "sim.t_end", "sim.dt", "sim.x0", "sim.s0",
+                 "dynamics.kind", "dynamics.a", "dynamics.b"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(CONFIG_FIELDS + NESTED_FIELDS), value=MALFORMED,
+       command=st.sampled_from(["kappa", "simulate"]))
+def test_malformed_config_field_never_raises(tmp_path_factory, field, value, command):
+    tmp = tmp_path_factory.mktemp("cfg")
+    (tmp / "k3.txt").write_text(to_edge_list(complete_graph(3)))
+    sim = {"t0": 0.0, "t_end": 0.1, "dt": 0.01, "x0": {"seed": 1}, "s0": [0.2]}
+    doc = config_doc("k3.txt", 1.0, 20.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
+                     sim=sim)
+    section, _, key = field.rpartition(".")
+    (doc[section] if section else doc)[key] = value
+    cfg = write_config(tmp, doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, cfg, "--json"])
+    assert code in (0, 2, 3, 4)

@@ -12,7 +12,6 @@ from pinnet import (
     ValidationError,
     check_structural,
     complete_graph,
-    eig_sym,
     evaluate,
     exact_condition,
     iterative_bound,
@@ -20,8 +19,6 @@ from pinnet import (
     lambda_min_gt0,
     path_graph,
     pinned_operator,
-    pinning_arrow_steps,
-    pinning_gram_factor,
     rhs_threshold,
 )
 from pinnet.criteria import sigma_lambda_min_gt0
@@ -334,38 +331,6 @@ def test_monotonicity_exact_lambda():
             for k in range(1, 4)
         ]
         assert all(b >= a - 1e-10 for a, b in zip(grown, grown[1:]))
-
-
-def test_pinning_gram_factor_matches_operator():
-    rng = np.random.default_rng(600)
-    for _ in range(10):
-        n = int(rng.integers(3, 12))
-        g = random_connected_graph(rng, n, 0.5)
-        pinned = tuple(sorted(rng.choice(n, size=int(rng.integers(0, 4)), replace=False).tolist()))
-        sigma, kappa = 1.3, 4.7
-        fac = pinning_gram_factor(g, sigma, kappa, pinned)
-        op = pinned_operator(g, sigma, kappa, pinned).array
-        assert np.abs(fac @ fac.T - op).max() <= 1e-10
-        # smallest nonzero eigenvalue agrees between both Gram orders
-        w_big = eig_sym(SymMatrix(fac.T @ fac)).eigenvalues
-        tol = 1e-9 * max(1.0, w_big[0])
-        nz = w_big[w_big > tol]
-        assert nz[-1] == pytest.approx(lambda_min_gt0(SymMatrix(op)), abs=1e-8)
-
-
-def test_pinning_arrow_steps_final_matches():
-    g = complete_graph(4)
-    sigma, kappa = 0.7, 9.0
-    pinned = (2, 0)
-    arrows = pinning_arrow_steps(g, sigma, kappa, pinned)
-    assert len(arrows) == 2
-    final = arrows[-1].materialize()
-    w = eig_sym(final).eigenvalues
-    tol = 1e-9 * max(1.0, w[0])
-    nz = np.sort(w[w > tol])
-    op = pinned_operator(g, sigma, kappa, pinned)
-    w_op = np.sort(eig_sym(op).eigenvalues)
-    assert np.abs(nz - w_op[w_op > tol]).max() <= 1e-8
 
 
 def test_spec_validation():

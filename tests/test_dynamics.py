@@ -46,6 +46,12 @@ def test_f_bound_values():
     assert LinearDynamics(np.zeros((2, 2))).f_bound == 0.0
 
 
+def test_linear_dynamics_must_be_square():
+    for bad in (np.zeros((2, 3)), np.zeros((1, 1, 3))):
+        with pytest.raises(ValidationError, match="square"):
+            LinearDynamics(bad)
+
+
 def test_coupling_ratio_identity():
     dyn = ScalarSaturatedDynamics(0.7, -0.3)
     rng = np.random.default_rng(21)
@@ -271,3 +277,15 @@ def test_sim_config_validation():
     ]:
         with pytest.raises(ValidationError, match="must be finite"):
             SimConfig(spec, dyn, np.zeros((3, 1)), np.zeros(1), t0, t_end, dt)
+    x0_bad = np.zeros((3, 1))
+    x0_bad[1, 0] = math.nan
+    for x0, s0 in [(x0_bad, np.zeros(1)), (np.zeros((3, 1)), [math.inf])]:
+        with pytest.raises(ValidationError, match="must be finite"):
+            SimConfig(spec, dyn, x0, s0, 0.0, 1.0, 0.1)
+    for x0, s0 in [(np.zeros(4), np.zeros(1)), (np.zeros((3, 1)), np.zeros(2))]:
+        with pytest.raises(ValidationError, match="values"):
+            SimConfig(spec, dyn, x0, s0, 0.0, 1.0, 0.1)
+    # the horizon is honoured: dt must divide t_end - t0
+    for dt in (0.3, 0.35):
+        with pytest.raises(ValidationError, match="does not divide"):
+            SimConfig(spec, dyn, np.zeros((3, 1)), np.zeros(1), 0.0, 1.0, dt)
