@@ -78,6 +78,13 @@ def _field(cfg: dict, key: str, convert):
         raise ValidationError(f"config field {key!r} missing or malformed") from exc
 
 
+def _integer(value) -> int:
+    """A JSON integer; booleans, strings and other numbers are refused."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -126,7 +133,7 @@ def load_analysis_config(path: str):
         graph_path = cfg_path.parent / graph_path
     g = _load_graph(str(graph_path))
 
-    n = _field(cfg, "n", int)
+    n = _field(cfg, "n", _integer)
     dyn = _dynamics_from(cfg.get("dynamics", {}))
     f_bound = dyn.f_bound
     override = cfg.get("f_bound_override")
@@ -147,7 +154,7 @@ def load_analysis_config(path: str):
         b_matrix=_matrix_from(cfg, "b", n),
         k_matrix=_matrix_from(cfg, "k", n),
         q_matrix=SymMatrix(_matrix_from(cfg, "q", n)),
-        pinned=_field(cfg, "pinned", lambda v: tuple(int(i) for i in v)),
+        pinned=_field(cfg, "pinned", lambda v: tuple(_integer(i) for i in v)),
         f_bound=f_bound,
     )
     return spec, dyn, cfg.get("sim")
@@ -167,7 +174,7 @@ def _sim_config_from(spec, dyn, sim_cfg: dict) -> dynamics.SimConfig:
     if isinstance(x0_cfg, dict):
         if "seed" not in x0_cfg:
             raise ValidationError("random x0 needs a 'seed' for reproducibility")
-        rng = np.random.default_rng(_field(x0_cfg, "seed", int))
+        rng = _field(x0_cfg, "seed", lambda v: np.random.default_rng(_integer(v)))
         low = _field(x0_cfg, "low", float) if "low" in x0_cfg else -1.0
         high = _field(x0_cfg, "high", float) if "high" in x0_cfg else 1.0
         x0 = rng.uniform(low, high, size=(n_nodes, n))
@@ -351,17 +358,16 @@ def cmd_simulate(args) -> int:
         raise ValidationError("config has no 'sim' block")
     config = _sim_config_from(spec, dyn, sim_cfg)
     report = criteria.evaluate(spec, tol=args.tol)
-    diverged_at = None
     try:
         traj = dynamics.simulate(config)
     except DivergenceError as exc:
-        diverged_at, traj = exc.time, exc.trajectory
+        traj = exc.trajectory
     if args.out:
         dynamics.write_trajectory_csv(traj, args.out)
     summary = {
         **dynamics.trajectory_summary(traj),
-        "diverged": diverged_at is not None,
-        "diverged_at": diverged_at,
+        "diverged": traj.diverged_at is not None,
+        "diverged_at": traj.diverged_at,
         "verdict_theorem": report.verdict_theorem,
         "verdict_exact": report.verdict_exact,
         "csv": args.out,

@@ -4,7 +4,8 @@ The network integrates
 
     x_i' = f(x_i) - sigma B sum_j l_ij x_j + p_i K (s - x_i),    s' = f(s)
 
-with classical fixed-step RK4, jointly for the states and the reference.
+with classical fixed-step RK4 on one stacked state z of shape (N+1, n): rows
+0..N-1 are the nodes x_i and row N is the reference s.
 Two node-dynamics families ship, each with a closed-form bound on the
 mean-value coupling matrix F(xi, xi~) defined by F (xi - xi~) = f(xi) - f(xi~):
 
@@ -19,9 +20,10 @@ positive definite matrix the criteria carry.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,6 +46,8 @@ class LinearDynamics:
         a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"dynamics matrix must be square, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValidationError("dynamics matrix must be finite")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
@@ -65,6 +69,12 @@ class ScalarSaturatedDynamics:
 
     a: float
     b: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValidationError(
+                f"dynamics coefficients must be finite, got a = {self.a}, b = {self.b}"
+            )
 
     @property
     def state_dim(self) -> int:
@@ -138,13 +148,15 @@ class SimConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled run: states x_i(t), reference s(t), errors e_i = s - x_i,
-    and Lyapunov values V(t) = sum_i e_i^T Q e_i."""
+    and Lyapunov values V(t) = sum_i e_i^T Q e_i. diverged_at is the time
+    of the step that overflowed when the run stopped early, else None."""
 
     times: np.ndarray
     states: np.ndarray
     reference: np.ndarray
     errors: np.ndarray
     lyapunov: np.ndarray
+    diverged_at: float | None = None
 
     @property
     def steps(self) -> int:
@@ -154,85 +166,86 @@ class Trajectory:
         return float(np.linalg.norm(self.errors[-1]))
 
 
-def _coupling_terms(config: SimConfig):
+def _derivative(config: SimConfig):
+    """dz/dt of the stacked state z (rows 0..N-1 the nodes x_i, row N the
+    reference s), with the coupling matrices built once per config."""
     spec = config.system
+    n_nodes = spec.graph.num_nodes
+    f = config.dynamics.f
     sigma_l = spec.sigma * laplacian(spec.graph).array
     bt = spec.b_matrix.T.copy()
     kt = spec.k_matrix.T.copy()
-    pin = np.zeros((spec.graph.num_nodes, 1))
-    for i in spec.pinned:
-        pin[i, 0] = 1.0
-    return sigma_l, bt, kt, pin
+    pin = np.zeros((n_nodes, 1))
+    pin[list(spec.pinned), 0] = 1.0
 
+    def deriv(z: np.ndarray) -> np.ndarray:
+        x, s = z[:n_nodes], z[n_nodes]
+        # f maps the node block and the reference row apart: a linear f over
+        # all N+1 rows at once rounds differently in BLAS when n >= 2
+        d = np.empty_like(z)
+        d[:n_nodes] = f(x) - (sigma_l @ x) @ bt + pin * ((s - x) @ kt)
+        d[n_nodes] = f(s)
+        return d
 
-def _deriv(dynamics, sigma_l, bt, kt, pin, states, s):
-    dx = dynamics.f(states) - (sigma_l @ states) @ bt + pin * ((s - states) @ kt)
-    return dx, dynamics.f(s)
+    return deriv
 
 
 def rhs(config: SimConfig, t: float, states: np.ndarray, s: np.ndarray):
     """Right-hand side (dx, ds) of the coupled system at one instant."""
-    states = np.asarray(states, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(s))):
+    z = np.vstack([np.asarray(states, dtype=float), np.asarray(s, dtype=float)])
+    if not np.all(np.isfinite(z)):
         raise DivergenceError(
             f"non-finite state at t = {t}", time=t, last_finite_index=-1
         )
-    return _deriv(config.dynamics, *_coupling_terms(config), states, s)
+    d = _derivative(config)(z)
+    return d[:-1], d[-1]
 
 
 def simulate(config: SimConfig) -> Trajectory:
     """Integrate with classical RK4 at fixed step dt, sampling every step.
 
-    Raises DivergenceError (carrying the partial trajectory) as soon as any
-    state magnitude exceeds 1e12 or becomes non-finite.
+    Trajectory.states and .reference are views of the stacked samples.
+    Raises DivergenceError as soon as any state magnitude exceeds 1e12 or
+    becomes non-finite; its trajectory holds the finite samples and sets
+    diverged_at.
     """
-    spec = config.system
-    n_nodes, n = config.x0.shape
     n_steps = int(round((config.t_end - config.t0) / config.dt))
     dt = config.dt
-    times = config.t0 + dt * np.arange(n_steps + 1)
-
-    states = np.empty((n_steps + 1, n_nodes, n))
-    reference = np.empty((n_steps + 1, n))
-    states[0] = config.x0
-    reference[0] = config.s0
-
-    dyn = config.dynamics
-    sigma_l, bt, kt, pin = _coupling_terms(config)
-    x = config.x0.copy()
-    s = config.s0.copy()
     half = dt / 2.0
+    times = config.t0 + dt * np.arange(n_steps + 1)
+    deriv = _derivative(config)
+    z = np.vstack([config.x0, config.s0])
+    samples = np.empty((n_steps + 1, *z.shape))
+    samples[0] = z
 
     for k in range(n_steps):
-        k1x, k1s = _deriv(dyn, sigma_l, bt, kt, pin, x, s)
-        k2x, k2s = _deriv(dyn, sigma_l, bt, kt, pin, x + half * k1x, s + half * k1s)
-        k3x, k3s = _deriv(dyn, sigma_l, bt, kt, pin, x + half * k2x, s + half * k2s)
-        k4x, k4s = _deriv(dyn, sigma_l, bt, kt, pin, x + dt * k3x, s + dt * k3s)
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        s = s + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        bad = not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)))
-        if bad or max(np.abs(x).max(), np.abs(s).max()) > OVERFLOW_GUARD:
-            partial = _finalize(spec, times[: k + 1], states[: k + 1], reference[: k + 1])
+        k1 = deriv(z)
+        k2 = deriv(z + half * k1)
+        k3 = deriv(z + half * k2)
+        k4 = deriv(z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(z)) or np.abs(z).max() > OVERFLOW_GUARD:
+            t = float(times[k + 1])
             raise DivergenceError(
-                f"state overflow at t = {times[k + 1]:.6g} (step {k + 1})",
-                time=float(times[k + 1]),
+                f"state overflow at t = {t:.6g} (step {k + 1})",
+                time=t,
                 last_finite_index=k,
-                trajectory=partial,
+                trajectory=_finalize(config.system, times[: k + 1], samples[: k + 1], t),
             )
-        states[k + 1] = x
-        reference[k + 1] = s
+        samples[k + 1] = z
 
-    return _finalize(spec, times, states, reference)
+    return _finalize(config.system, times, samples)
 
 
-def _finalize(spec: PinnedSystemSpec, times, states, reference) -> Trajectory:
+def _finalize(spec: PinnedSystemSpec, times, samples, diverged_at=None) -> Trajectory:
+    samples.setflags(write=False)
+    states, reference = samples[:, :-1], samples[:, -1]
     errors = reference[:, None, :] - states
     q = spec.q_matrix.array
     lyapunov = np.einsum("tia,ab,tib->t", errors, q, errors)
-    for arr in (times, states, reference, errors, lyapunov):
+    for arr in (times, errors, lyapunov):
         arr.setflags(write=False)
-    return Trajectory(times, states, reference, errors, lyapunov)
+    return Trajectory(times, states, reference, errors, lyapunov, diverged_at)
 
 
 @dataclass
@@ -246,7 +259,8 @@ class DecayReport:
 
 
 def check_decay(traj: Trajectory) -> DecayReport:
-    """True iff V decreases strictly across samples wherever V > atol.
+    """True iff the run reached its horizon and V decreases strictly across
+    samples wherever V > atol; a diverged run never decays.
 
     atol is 1e-10 V(0); per-step slack 1e-9 V(0) absorbs integrator noise.
     When V(0) is exactly zero (start on the reference) a round-off floor
@@ -261,39 +275,28 @@ def check_decay(traj: Trajectory) -> DecayReport:
     else:
         atol = 1e-20 * max(1.0, float(v.max()))
         slack = 0.0
-    violations = []
-    for k in range(len(v) - 1):
-        if v[k] > atol and v[k + 1] >= v[k] + slack:
-            violations.append(
-                (k, float(traj.times[k]), float(traj.times[k + 1]), float(v[k]), float(v[k + 1]))
-            )
-    return DecayReport(ok=not violations, atol=atol, violations=violations)
+    ks = np.flatnonzero((v[:-1] > atol) & (v[1:] >= v[:-1] + slack))
+    t = traj.times
+    violations = list(zip(ks.tolist(), t[ks].tolist(), t[ks + 1].tolist(),
+                          v[ks].tolist(), v[ks + 1].tolist()))
+    ok = traj.diverged_at is None and not violations
+    return DecayReport(ok=ok, atol=atol, violations=violations)
 
 
 def write_trajectory_csv(traj: Trajectory, target) -> None:
-    """CSV export with header t,node,component,x,e,V (V repeated per row)."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", newline="") as fh:
-            _write_csv(traj, fh)
-    else:
-        _write_csv(traj, target)
-
-
-def _write_csv(traj: Trajectory, fh: io.TextIOBase) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["t", "node", "component", "x", "e", "V"])
-    n_samples, n_nodes, n = traj.states.shape
-    for k in range(n_samples):
-        t = traj.times[k]
-        v = traj.lyapunov[k]
-        for i in range(n_nodes):
-            for c in range(n):
-                writer.writerow(
-                    [repr(float(t)), i, c,
-                     repr(float(traj.states[k, i, c])),
-                     repr(float(traj.errors[k, i, c])),
-                     repr(float(v))]
-                )
+    """CSV export with header t,node,component,x,e,V (V repeated per row) to
+    a path or an open text file, written one sample at a time."""
+    is_path = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+    with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "node", "component", "x", "e", "V"])
+        _, n_nodes, n = traj.states.shape
+        nodes = [i for i in range(n_nodes) for _ in range(n)]
+        components = list(range(n)) * n_nodes
+        for t, v, x, e in zip(traj.times, traj.lyapunov, traj.states, traj.errors):
+            writer.writerows(zip(repeat(repr(float(t))), nodes, components,
+                                 map(repr, x.ravel().tolist()), map(repr, e.ravel().tolist()),
+                                 repeat(repr(float(v)))))
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

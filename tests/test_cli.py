@@ -1,13 +1,25 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinnet import kappa_threshold, to_edge_list, complete_graph, path_graph, star_graph
+import pinnet
+from pinnet import (
+    complete_graph,
+    erdos_renyi,
+    kappa_threshold,
+    path_graph,
+    star_graph,
+    to_edge_list,
+)
 from pinnet.cli import main
 
 from helpers import scalar_spec
@@ -335,6 +347,68 @@ def test_simulate_divergence_exits_0(tmp_path, graph_file, capsys):
     assert summary["diverged"] is True
     assert summary["decayed"] is False
     assert summary["diverged_at"] > 0
+
+
+def test_simulate_diverged_run_not_decayed(tmp_path, graph_file, capsys):
+    # the first RK4 step overflows; the one-sample partial run must not read as decayed
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, kappa=1e15, sim=sim)
+    code = main(["simulate", cfg])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert summary["diverged"] is True
+    assert summary["steps"] == 0
+    assert summary["decayed"] is False
+
+
+def test_simulate_non_finite_dynamics_exits_2(tmp_path, graph_file, capsys):
+    path = graph_file(complete_graph(3), "k3.txt")
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
+    doc = config_doc(path, 1.0, 20.0, [0], {"kind": "scalar_saturated", "a": float("nan"), "b": 0.1},
+                     sim=sim, f_bound_override=0.3)
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("pinned", [0.9]), ("pinned", "01"), ("pinned", [True]), ("pinned", ["0"]),
+     ("n", 1.7), ("n", True), ("n", "1"), ("x0.seed", 1.5), ("x0.seed", True), ("x0.seed", -1)],
+)
+def test_integer_config_fields_strict(tmp_path, graph_file, capsys, field, value):
+    sim = {"t0": 0.0, "t_end": 0.1, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
+    doc = json.loads(Path(certified_k3_config(tmp_path, graph_file, sim=sim)).read_text())
+    if field == "x0.seed":
+        doc["sim"]["x0"]["seed"] = value
+    else:
+        doc[field] = value
+    cfg = write_config(tmp_path, doc, "strict.json")
+    commands = ["simulate"] if field == "x0.seed" else ["kappa", "simulate"]  # kappa ignores sim
+    for command in commands:
+        assert main([command, cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed" in captured.err
+
+
+def test_spectrum_bytes_stable_per_thread_count(tmp_path):
+    path = tmp_path / "er300.txt"
+    path.write_text(to_edge_list(erdos_renyi(300, 0.05, seed=4)))
+    src = str(Path(pinnet.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "1", "2", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "pinnet.cli", "spectrum", str(path), "--json", "--full"],
+            env=env, capture_output=True, check=True, timeout=120,
+        ).stdout
+        assert len(json.loads(out)["spectrum_pinned"]) == 300
+        outputs.setdefault(threads, set()).add(out)
+    assert all(len(outs) == 1 for outs in outputs.values())
 
 
 @pytest.mark.parametrize("x0", [[[0.1], [float("nan")], [0.3]], [[0.1], [0.2]]])

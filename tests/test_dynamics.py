@@ -10,10 +10,14 @@ from pinnet import (
     DivergenceError,
     Graph,
     LinearDynamics,
+    PinnedSystemSpec,
     ScalarSaturatedDynamics,
     SimConfig,
+    SymMatrix,
     ValidationError,
     check_decay,
+    complete_graph,
+    erdos_renyi,
     laplacian,
     path_graph,
     rhs,
@@ -289,3 +293,216 @@ def test_sim_config_validation():
     for dt in (0.3, 0.35):
         with pytest.raises(ValidationError, match="does not divide"):
             SimConfig(spec, dyn, np.zeros((3, 1)), np.zeros(1), 0.0, 1.0, dt)
+
+
+def test_dynamics_coefficients_must_be_finite():
+    for a, b in [(math.nan, 0.1), (0.2, math.inf), (-math.inf, 0.0)]:
+        with pytest.raises(ValidationError, match="must be finite"):
+            ScalarSaturatedDynamics(a, b)
+    for bad in ([[math.nan]], [[0.1, 0.0], [math.inf, 0.2]]):
+        with pytest.raises(ValidationError, match="must be finite"):
+            LinearDynamics(bad)
+
+
+def test_diverged_run_never_decays():
+    # K3 with kappa = 1e15: the first RK4 step overflows, so the partial
+    # trajectory is the single initial sample, which has no V increase
+    spec = scalar_spec(complete_graph(3), 1.0, 1e15, (0,), 0.3)
+    config = SimConfig(spec, ScalarSaturatedDynamics(0.2, 0.1), np.array([[0.1], [0.5], [-0.3]]),
+                       np.array([0.2]), 0.0, 1.0, 0.01)
+    with pytest.raises(DivergenceError) as exc:
+        simulate(config)
+    traj = exc.value.trajectory
+    assert exc.value.last_finite_index == 0 and traj.steps == 0
+    assert traj.diverged_at == exc.value.time == pytest.approx(0.01)
+    report = check_decay(traj)
+    assert not report.ok and report.violations == []
+    assert trajectory_summary(traj)["decayed"] is False
+    assert simulate(path3_linear_config(1e-2)).diverged_at is None
+
+
+def test_states_and_reference_share_one_array():
+    traj = simulate(path3_linear_config(1e-2))
+    assert traj.states.base is not None and traj.states.base is traj.reference.base
+    assert not traj.states.flags.writeable and not traj.reference.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# byte equality with the former two-array integrator, the nested-loop CSV
+# writer and the loop decay check, kept here as references
+
+
+def reference_simulate(config):
+    """Separate RK4 updates of the states x and the reference s.
+
+    Returns ((times, states, reference, errors, lyapunov), divergence), where
+    divergence is (time, last_finite_index) or None and the arrays are the
+    samples up to the last finite step.
+    """
+    spec = config.system
+    sigma_l = spec.sigma * laplacian(spec.graph).array
+    bt = spec.b_matrix.T.copy()
+    kt = spec.k_matrix.T.copy()
+    pin = np.zeros((spec.graph.num_nodes, 1))
+    for i in spec.pinned:
+        pin[i, 0] = 1.0
+    f = config.dynamics.f
+
+    def deriv(states, s):
+        dx = f(states) - (sigma_l @ states) @ bt + pin * ((s - states) @ kt)
+        return dx, f(s)
+
+    n_nodes, n = config.x0.shape
+    n_steps = int(round((config.t_end - config.t0) / config.dt))
+    dt = config.dt
+    half = dt / 2.0
+    times = config.t0 + dt * np.arange(n_steps + 1)
+    states = np.empty((n_steps + 1, n_nodes, n))
+    reference = np.empty((n_steps + 1, n))
+    states[0] = config.x0
+    reference[0] = config.s0
+    x = config.x0.copy()
+    s = config.s0.copy()
+    end, divergence = n_steps + 1, None
+    for k in range(n_steps):
+        k1x, k1s = deriv(x, s)
+        k2x, k2s = deriv(x + half * k1x, s + half * k1s)
+        k3x, k3s = deriv(x + half * k2x, s + half * k2s)
+        k4x, k4s = deriv(x + dt * k3x, s + dt * k3s)
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        s = s + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        bad = not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)))
+        if bad or max(np.abs(x).max(), np.abs(s).max()) > 1e12:
+            end, divergence = k + 1, (float(times[k + 1]), k)
+            break
+        states[k + 1] = x
+        reference[k + 1] = s
+    times, states, reference = times[:end], states[:end], reference[:end]
+    errors = reference[:, None, :] - states
+    lyapunov = np.einsum("tia,ab,tib->t", errors, spec.q_matrix.array, errors)
+    return (times, states, reference, errors, lyapunov), divergence
+
+
+def reference_csv(traj, fh):
+    writer = csv.writer(fh)
+    writer.writerow(["t", "node", "component", "x", "e", "V"])
+    n_samples, n_nodes, n = traj.states.shape
+    for k in range(n_samples):
+        t = traj.times[k]
+        v = traj.lyapunov[k]
+        for i in range(n_nodes):
+            for c in range(n):
+                writer.writerow(
+                    [repr(float(t)), i, c,
+                     repr(float(traj.states[k, i, c])),
+                     repr(float(traj.errors[k, i, c])),
+                     repr(float(v))]
+                )
+
+
+def reference_violations(traj):
+    v = traj.lyapunov
+    v0 = float(v[0])
+    if v0 > 0.0:
+        atol, slack = 1e-10 * v0, 1e-9 * v0
+    else:
+        atol, slack = 1e-20 * max(1.0, float(v.max())), 0.0
+    violations = []
+    for k in range(len(v) - 1):
+        if v[k] > atol and v[k + 1] >= v[k] + slack:
+            violations.append(
+                (k, float(traj.times[k]), float(traj.times[k + 1]), float(v[k]), float(v[k + 1]))
+            )
+    return atol, violations
+
+
+def linear3_config(seed, scale, t_end):
+    """n = 3 linear dynamics with non-identity B, K and Q on a random graph."""
+    rng = np.random.default_rng(seed)
+    n_nodes = int(rng.integers(4, 25))
+    q_half = rng.normal(size=(3, 3))
+    spec = PinnedSystemSpec(
+        graph=erdos_renyi(n_nodes, 0.4, seed=seed),
+        sigma=0.7,
+        kappa=5.0,
+        b_matrix=np.eye(3) + 0.3 * rng.normal(size=(3, 3)),
+        k_matrix=5.0 * np.eye(3) + rng.normal(size=(3, 3)),
+        q_matrix=SymMatrix(q_half @ q_half.T + np.eye(3)),
+        pinned=tuple(int(i) for i in rng.choice(n_nodes, size=2, replace=False)),
+        f_bound=1.0,
+    )
+    dyn = LinearDynamics(scale * rng.normal(size=(3, 3)))
+    return SimConfig(spec, dyn, rng.uniform(-1, 1, (n_nodes, 3)), rng.uniform(-1, 1, 3),
+                     0.0, t_end, 1e-2)
+
+
+def scalar1_config(kappa, a, n_nodes=12):
+    rng = np.random.default_rng(n_nodes)
+    g = erdos_renyi(n_nodes, 0.5, seed=n_nodes)
+    spec = scalar_spec(g, 1.0, kappa, (0,) if kappa else (), abs(a) + 0.1)
+    return SimConfig(spec, ScalarSaturatedDynamics(a, -0.1), rng.uniform(-1, 1, (n_nodes, 1)),
+                     np.array([0.3]), 0.0, 2.0, 1e-2)
+
+
+EQUALITY_CONFIGS = {
+    "n1-decaying": lambda: scalar1_config(40.0, 0.2),
+    "n1-growing": lambda: scalar1_config(0.0, 1.5),
+    "n1-linear": lambda: path3_linear_config(1e-2),
+    "n3-linear": lambda: linear3_config(3, 0.3, 3.0),
+    "n3-linear-growing": lambda: linear3_config(5, 1.0, 3.0),
+}
+DIVERGING_CONFIGS = {
+    "n1-diverging": lambda: scalar1_config(0.0, 20.0),
+    "n3-diverging": lambda: linear3_config(7, 3.0, 30.0),
+}
+ALL_CONFIGS = {**EQUALITY_CONFIGS, **DIVERGING_CONFIGS}
+
+
+def run(config):
+    try:
+        return simulate(config), None
+    except DivergenceError as exc:
+        return exc.trajectory, exc
+
+
+def arrays_of(traj):
+    return (traj.times, traj.states, traj.reference, traj.errors, traj.lyapunov)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+def test_stacked_rk4_matches_two_array_reference(name):
+    config = ALL_CONFIGS[name]()
+    expected, divergence = reference_simulate(config)
+    traj, exc = run(config)
+    if name in DIVERGING_CONFIGS:
+        assert divergence is not None and exc is not None
+        assert (exc.time, exc.last_finite_index) == divergence
+        assert traj.diverged_at == exc.time
+    else:
+        assert divergence is None and exc is None
+    for got, want in zip(arrays_of(traj), expected):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+def test_csv_matches_nested_loop_reference(name, tmp_path):
+    config = ALL_CONFIGS[name]()
+    traj, _ = run(config)
+    write_trajectory_csv(traj, tmp_path / "got.csv")
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        reference_csv(traj, fh)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+def test_check_decay_matches_loop_reference(name):
+    config = ALL_CONFIGS[name]()
+    traj, _ = run(config)
+    atol, violations = reference_violations(traj)
+    report = check_decay(traj)
+    assert report.atol == atol
+    assert report.violations == violations
+    assert [tuple(map(type, v)) for v in report.violations] == [tuple(map(type, v)) for v in violations]
+    assert report.ok == (not violations and name in EQUALITY_CONFIGS)
+    if "growing" in name:
+        assert violations
