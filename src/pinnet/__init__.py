@@ -20,12 +20,8 @@ from .bounds import (
 )
 from .criteria import (
     CriterionReport,
-    ExactCheck,
     PinnedSystemSpec,
-    StructuralCheck,
-    check_structural,
     evaluate,
-    exact_condition,
     iterative_bound,
     kappa_threshold,
     pinned_operator,

@@ -1,8 +1,8 @@
 """Command-line front-end: spectra, bounds, thresholds, selection, simulation.
 
 Commands: spectrum, bounds, kappa, select, simulate. Every command accepts
---json (emit one JSON document on stdout and nothing else); kappa and
-simulate also accept --tol, the structural tolerance of the criteria.
+--json (emit one JSON document on stdout and nothing else). kappa prints
+criteria.evaluate's report; simulate adds its two verdicts to the run summary.
 
 Exit codes: 0 success including negative findings, 2 input or validation
 problems, 3 precondition-undefined outcomes, 4 numerical failures.
@@ -302,7 +302,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_kappa(args) -> int:
     spec, _, _ = load_analysis_config(args.config)
-    report = criteria.evaluate(spec, tol=args.tol)
+    report = criteria.evaluate(spec)
     payload = report.to_dict()
     lines = [
         f"structural_ok: {report.structural_ok}"
@@ -346,7 +346,7 @@ def cmd_select(args) -> int:
         f"method: {result.method}",
         f"pinned: {list(result.pinned)}",
         f"objective lambda_min>0(sigma L + kappa P) = {_fmt(result.objective)}",
-        f"eigensolves: {result.evaluations}",
+        f"evaluations: {result.evaluations}",
     ]
     _emit(args, lines, payload)
     return EXIT_OK
@@ -357,7 +357,7 @@ def cmd_simulate(args) -> int:
     if sim_cfg is None:
         raise ValidationError("config has no 'sim' block")
     config = _sim_config_from(spec, dyn, sim_cfg)
-    report = criteria.evaluate(spec, tol=args.tol)
+    report = criteria.evaluate(spec)
     try:
         traj = dynamics.simulate(config)
     except DivergenceError as exc:
@@ -383,8 +383,6 @@ def cmd_simulate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_tol.add_argument("--tol", type=float, default=1e-9, help="structural tolerance")
 
     parser = argparse.ArgumentParser(
         prog="pinnet",
@@ -407,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pinned", default="")
     p.set_defaults(handler=cmd_bounds)
 
-    p = sub.add_parser("kappa", parents=[with_tol], help="criterion report and gain threshold")
+    p = sub.add_parser("kappa", parents=[common], help="criterion report and gain threshold")
     p.add_argument("config", help="analysis config JSON")
     p.set_defaults(handler=cmd_kappa)
 
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_select)
 
-    p = sub.add_parser("simulate", parents=[with_tol], help="integrate and verify decay")
+    p = sub.add_parser("simulate", parents=[common], help="integrate and verify decay")
     p.add_argument("config")
     p.add_argument("--out", default=None, help="trajectory CSV path")
     p.set_defaults(handler=cmd_simulate)

@@ -5,12 +5,17 @@ Laplacian L with strength sigma, and injects feedback u_i = p_i K (s - x_i)
 at the pinned nodes. Controllability (Lyapunov decay of the error system) is
 certified through the smallest nonzero eigenvalue of sigma L + kappa P:
 
+  - structural check: QK + K^T Q^T = kappa (QB + B^T Q^T) with
+    QB + B^T Q^T >= 0, to the fixed relative tolerance STRUCTURAL_TOL;
   - exact route: compare lambda_min>0(sigma L + kappa P) against the
     threshold 2 f_bound ||Q|| / lambda_min(QB + B^T Q^T) from the quadratic
     Lyapunov argument;
   - certificate route: lower-bound that eigenvalue in closed form from the
-    graph data alone, and invert the bound for the smallest feedback
-    multiplier kappa that makes the certificate succeed.
+    graph data alone (iterative_bound), and invert a looser quotient-form
+    chain bound for a sufficient gain (kappa_threshold).
+
+evaluate() is the one report of all three; the structural and exact checks
+live only there.
 
 The closed-form bound treats each pinned node as one appended column
 sqrt(kappa) e_i against the scaled incidence factor sqrt(sigma) I of the
@@ -32,12 +37,13 @@ that fails.
 
 Each spectral quantity is computed once per spec: sigma lambda_min>0(L),
 lambda_min(QB + B^T Q^T) and ||Q|| are memoised on it at first read (a failure
-raises again on the next read), and exact_condition solves the operator once.
+raises again on the next read), and evaluate solves the operator once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,7 +51,7 @@ import numpy as np
 
 from .bounds import lili_term
 from .errors import PinnetError, PreconditionError, ThresholdUndefinedError, ValidationError
-from .graphs import Graph, connected_components, degrees, is_connected, laplacian
+from .graphs import Graph, connected_components, degrees, laplacian
 from .spectral import (
     SymMatrix,
     as_sym_matrix,
@@ -57,6 +63,7 @@ from .spectral import (
 )
 
 EXACT_MARGIN = 1e-12
+STRUCTURAL_TOL = 1e-9
 QB_DEGENERATE_TOL = 1e-12
 Q_PD_RTOL = 1e-10
 
@@ -72,9 +79,19 @@ def _check_gains(sigma: float, kappa: float) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
+def _pin_index(i) -> int:
+    """A Python or numpy integer; bools, floats and strings are refused."""
+    if isinstance(i, (bool, np.bool_)):
+        raise ValidationError(f"pinned index {i!r} must be an integer")
+    try:
+        return operator.index(i)
+    except TypeError as exc:
+        raise ValidationError(f"pinned index {i!r} must be an integer") from exc
+
+
 def _check_pins(pinned, num_nodes: int) -> tuple[int, ...]:
-    """The pin rule: distinct node indices in range(num_nodes)."""
-    pinned = tuple(int(i) for i in pinned)
+    """The pin rule: distinct integer node indices in range(num_nodes)."""
+    pinned = tuple(_pin_index(i) for i in pinned)
     if len(set(pinned)) != len(pinned):
         raise ValidationError(f"pinned indices must be distinct: {pinned}")
     for i in pinned:
@@ -146,33 +163,6 @@ class PinnedSystemSpec:
 
 
 @dataclass
-class StructuralCheck:
-    """Residuals of the Q/K/kappa/B identities."""
-
-    ok: bool
-    identity_residual: float
-    qb_lambda_min: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass
-class ExactCheck:
-    """Exact spectral verdict plus the product-form comparison."""
-
-    ok: bool
-    exact_lambda: float
-    exact_lambda_min: float
-    rhs: float
-    product_lhs: float
-    product_rhs: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass
 class CriterionReport:
     """Everything evaluate() computes; None fields carry a reason in `reasons`."""
 
@@ -208,17 +198,6 @@ def pinned_operator(g: Graph, sigma: float, kappa: float, pinned) -> SymMatrix:
     arr = sigma * laplacian(g).array
     arr[np.diag_indices(g.num_nodes)] += kappa * p
     return SymMatrix(arr)
-
-
-def check_structural(spec: PinnedSystemSpec, tol: float = 1e-9) -> StructuralCheck:
-    """Verify QK + K^T Q^T = kappa (QB + B^T Q^T) and QB + B^T Q^T >= 0."""
-    q = spec.q_matrix.array
-    qk = q @ spec.k_matrix
-    qb = q @ spec.b_matrix
-    residual = spectral_norm(qk + qk.T - spec.kappa * (qb + qb.T))
-    identity_ok = residual <= tol * (1.0 + spectral_norm(qk))
-    lam = spec._qb_lambda_min
-    return StructuralCheck(bool(identity_ok and lam >= -tol), float(residual), float(lam))
 
 
 def rhs_threshold(spec: PinnedSystemSpec) -> float:
@@ -263,18 +242,24 @@ def iterative_bound(spec: PinnedSystemSpec) -> float:
 
 
 def kappa_threshold(spec: PinnedSystemSpec) -> float:
-    """Smallest kappa whose certificate clears rhs_threshold.
+    """Sufficient gain: where the quotient-form chain bound meets rhs_threshold.
 
-    Inverts the monotone quotient-form chain bound: with s = sigma
-    lambda_min>0(L), m = s - rhs_threshold and D = sum of pinned degrees,
+    With s = sigma lambda_min>0(L), m = s - rhs_threshold and D the pinned
+    degree sum, each term of iterative_bound is at most sigma kappa deg_i /
+    (kappa - s), so iterative_bound >= s - sigma kappa D / (kappa - s) for
+    kappa > s. That chain bound increases in kappa, and this function
+    inverts it at rhs_threshold:
 
       kappa_threshold = s * m / (m - sigma D),  defined iff m > sigma D.
 
-    Any kappa >= kappa_threshold gives iterative_bound >= rhs_threshold and
-    hence a true exact verdict. Raises ThresholdUndefinedError when the
-    decay condition fails (m <= 0) or the certificate saturates below the
-    threshold (m <= sigma D, which happens whenever the pinned degree sum
-    reaches the algebraic connectivity).
+    verdict_theorem means kappa >= kappa_threshold; any such kappa gives
+    iterative_bound >= rhs_threshold and hence a true exact verdict. It is
+    not the smallest such kappa: the tighter iterative_bound can clear
+    rhs_threshold well below it (K5, sigma 1, pin 0, f_bound 0.5: 0.528 >=
+    0.5 at kappa 5.01, while kappa_threshold is 45 up to round-off). Raises
+    ThresholdUndefinedError when the decay condition fails (m <= 0) or the
+    chain bound saturates below the threshold (m <= sigma D, which happens
+    whenever the pinned degree sum reaches the algebraic connectivity).
     """
     rhs = rhs_threshold(spec)
     s = sigma_lambda_min_gt0(spec)
@@ -300,50 +285,41 @@ def kappa_threshold(spec: PinnedSystemSpec) -> float:
     return s * margin / (margin - spec.sigma * deg_sum)
 
 
-def exact_condition(spec: PinnedSystemSpec) -> ExactCheck:
-    """Exact spectral verdict: lambda_min>0(sigma L + kappa P) >= rhs_threshold.
+def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
+    """The criterion report: structural, exact and certificate answers in one.
 
-    Also reports the product-form comparison
-    (1/2) lambda_min(sigma L + kappa P) lambda_min(QB + B^T Q^T)  vs
-    f_bound ||Q||, which matches the quotient form whenever the pinned
-    operator is positive definite.
-    """
-    rhs = rhs_threshold(spec)
-    op = pinned_operator(spec.graph, spec.sigma, spec.kappa, spec.pinned)
-    w = eig_sym(op).eigenvalues
-    lam_gt0 = lambda_min_gt0_sorted(w)
-    ok = lam_gt0 >= rhs - EXACT_MARGIN * (1.0 + abs(rhs))
-    return ExactCheck(
-        ok=bool(ok),
-        exact_lambda=float(lam_gt0),
-        exact_lambda_min=float(w[-1]),
-        rhs=float(rhs),
-        product_lhs=float(0.5 * w[-1] * spec._qb_lambda_min),
-        product_rhs=float(spec.f_bound * spec._q_norm),
-    )
-
-
-def evaluate(spec: PinnedSystemSpec, tol: float = 1e-9) -> CriterionReport:
-    """Full criterion report; individual failures become reasons, not aborts.
+    Structural: QK + K^T Q^T = kappa (QB + B^T Q^T) to within STRUCTURAL_TOL
+    relative to ||QK||, and lambda_min(QB + B^T Q^T) >= -STRUCTURAL_TOL.
+    Exact: lambda_min>0(sigma L + kappa P) >= rhs_threshold up to
+    EXACT_MARGIN, read with lambda_min(sigma L + kappa P) from one
+    eigensolve; the product form (1/2) lambda_min(sigma L + kappa P)
+    lambda_min(QB + B^T Q^T) vs f_bound ||Q|| is reported beside it and
+    matches the quotient form whenever the pinned operator is positive
+    definite. Individual failures become reasons, not aborts.
 
     verdict_theorem: structural identities hold, the decay condition holds,
-    and kappa reaches kappa_threshold. verdict_exact: structural identities
-    hold and the exact spectral comparison clears the threshold. The first
-    implies the second by construction of the bound chain.
+    and kappa >= kappa_threshold. verdict_exact: structural identities hold
+    and the exact comparison clears rhs_threshold. The first implies the
+    second by construction of the bound chain.
     """
-    structural = check_structural(spec, tol=tol)
+    q = spec.q_matrix.array
+    qk = q @ spec.k_matrix
+    qb = q @ spec.b_matrix
+    residual = spectral_norm(qk + qk.T - spec.kappa * (qb + qb.T))
+    identity_ok = residual <= STRUCTURAL_TOL * (1.0 + spectral_norm(qk))
+    qb_lam = spec._qb_lambda_min
+    structural_ok = bool(identity_ok and qb_lam >= -STRUCTURAL_TOL)
     reasons: dict[str, str] = {}
     flags: list[str] = []
 
-    connected = is_connected(spec.graph)
+    components = connected_components(spec.graph)
+    connected = len(components) == 1
     if not connected:
         flags.append("disconnected")
     if not spec.pinned:
         flags.append("no_pinned_nodes")
-    else:
-        pinned_set = set(spec.pinned)
-        if any(not pinned_set.intersection(c) for c in connected_components(spec.graph)):
-            flags.append("unpinned_component")
+    elif any(set(spec.pinned).isdisjoint(c) for c in components):
+        flags.append("unpinned_component")
 
     def attempt(name: str, fn):
         try:
@@ -352,6 +328,11 @@ def evaluate(spec: PinnedSystemSpec, tol: float = 1e-9) -> CriterionReport:
             reasons[name] = str(exc)
             return None
 
+    def exact_pair():
+        rhs_threshold(spec)  # a degenerate QB is the exact step's reason too
+        w = eig_sym(pinned_operator(spec.graph, spec.sigma, spec.kappa, spec.pinned)).eigenvalues
+        return lambda_min_gt0_sorted(w), float(w[-1])
+
     s = attempt("sigma_lambda", lambda: sigma_lambda_min_gt0(spec))
     rhs = attempt("rhs_threshold", lambda: rhs_threshold(spec))
     f_ok = (rhs < s) if (rhs is not None and s is not None) else None
@@ -359,27 +340,32 @@ def evaluate(spec: PinnedSystemSpec, tol: float = 1e-9) -> CriterionReport:
         reasons.setdefault("f_condition", "undefined: see rhs_threshold / sigma_lambda")
     bound = attempt("iterative_bound", lambda: iterative_bound(spec))
     kthr = attempt("kappa_threshold", lambda: kappa_threshold(spec))
-    exact = attempt("exact_lambda", lambda: exact_condition(spec))
+    exact = attempt("exact_lambda", exact_pair)
+    exact_lambda, exact_lambda_min = (None, None) if exact is None else exact
 
     verdict_theorem = bool(
-        structural.ok and f_ok is True and kthr is not None and spec.kappa >= kthr
+        structural_ok and f_ok is True and kthr is not None and spec.kappa >= kthr
     )
-    verdict_exact = bool(structural.ok and exact is not None and exact.ok)
+    verdict_exact = bool(
+        structural_ok
+        and exact is not None
+        and exact_lambda >= rhs - EXACT_MARGIN * (1.0 + abs(rhs))
+    )
 
     return CriterionReport(
-        structural_ok=structural.ok,
-        identity_residual=structural.identity_residual,
-        qb_lambda_min=structural.qb_lambda_min,
+        structural_ok=structural_ok,
+        identity_residual=float(residual),
+        qb_lambda_min=float(qb_lam),
         connected=connected,
         sigma_lambda=s,
         rhs_threshold=rhs,
         f_condition_ok=f_ok,
         iterative_bound=bound,
         kappa_threshold=kthr,
-        exact_lambda=None if exact is None else exact.exact_lambda,
-        exact_lambda_min=None if exact is None else exact.exact_lambda_min,
-        proposition_lhs=None if exact is None else exact.product_lhs,
-        proposition_rhs=None if exact is None else exact.product_rhs,
+        exact_lambda=exact_lambda,
+        exact_lambda_min=exact_lambda_min,
+        proposition_lhs=None if exact is None else float(0.5 * exact_lambda_min * qb_lam),
+        proposition_rhs=None if exact is None else float(spec.f_bound * spec._q_norm),
         verdict_theorem=verdict_theorem,
         verdict_exact=verdict_exact,
         flags=tuple(flags),

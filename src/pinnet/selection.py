@@ -26,6 +26,10 @@ EXHAUSTIVE = "exhaustive"
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """A chosen pin set, its exact objective, and how many candidate sets
+    were scored: N - k per greedy round, 1 for degree, C(N, budget) for
+    exhaustive. Greedy's initial solve of the empty set is not counted."""
+
     pinned: tuple[int, ...]
     objective: float
     method: str
@@ -47,8 +51,12 @@ def _check_budget(g: Graph, budget: int):
 def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:
     """Grow the pinned set one node at a time, best exact objective first.
 
-    Ties break toward the smallest node index; runs are deterministic.
-    Performs sum_{k=0}^{budget-1} (N - k) eigensolves.
+    A candidate replaces the incumbent only if its computed objective is
+    strictly larger, so ties go to the smallest node index only when the
+    computed values are equal; round-off can split an exact tie either way.
+    Runs are deterministic. Performs 1 + sum_{k=0}^{budget-1} (N - k)
+    eigensolves: the empty set first, then the candidates that evaluations
+    counts.
     """
     _check_budget(g, budget)
     chosen: list[int] = []

@@ -1,6 +1,8 @@
-"""Shared test utilities: seeded random graphs and scalar-case system specs."""
+"""Shared test utilities: seeded random graphs, a hypothesis graph strategy
+and scalar-case system specs."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from pinnet import Graph, PinnedSystemSpec, SymMatrix, erdos_renyi, is_connected
 
@@ -15,6 +17,17 @@ def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     return erdos_renyi(n, p, seed=int(rng.integers(0, 2**31)))
+
+
+@st.composite
+def graphs(draw, max_nodes=10):
+    n = draw(st.integers(1, max_nodes))
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if possible:
+        edges = draw(st.lists(st.sampled_from(possible), unique=True))
+    else:
+        edges = []
+    return Graph(n, tuple(edges))
 
 
 def scalar_spec(graph, sigma, kappa, pinned, f_bound) -> PinnedSystemSpec:

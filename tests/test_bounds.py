@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pinnet import (
     ArrowMatrix,
@@ -169,6 +171,53 @@ def test_rank_cross_check_and_psd_guard():
         smallest_nonzero_lower(ArrowMatrix(1.0, [0.0], SymMatrix([[-1.0]])))
     with pytest.raises(PreconditionError):
         smallest_nonzero_lower(ArrowMatrix(1.0, [0.0], SymMatrix([[0.0]])))
+
+
+entries = st.floats(-5.0, 5.0)
+
+
+def _floats(draw, count):
+    return np.array(draw(st.lists(entries, min_size=count, max_size=count)))
+
+
+@st.composite
+def symmetric_arrows(draw):
+    d = draw(st.integers(1, 6))
+    m = _floats(draw, d * d).reshape(d, d)
+    return ArrowMatrix(draw(entries), _floats(draw, d), SymMatrix((m + m.T) / 2))
+
+
+@st.composite
+def gram_arrows(draw):
+    """Gram arrow of a generated factor [x, X]; the block is PSD."""
+    d = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, d))
+    return assemble_arrow(_floats(draw, rows), _floats(draw, rows * d).reshape(rows, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_arrows())
+def test_arrow_sandwich_property(arr):
+    # lili_lower_max <= lambda_1 <= lili_upper_max on any symmetric arrow
+    lo = lili_lower_max(arr)
+    up = lili_upper_max(arr)
+    tol = 1e-8 * (1.0 + abs(lo.exact_value))
+    assert lo.bound_value <= lo.exact_value + tol
+    assert up.exact_value <= up.bound_value + tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(gram_arrows())
+def test_lower_chain_property(arr):
+    # weyl <= lili <= lambda_{r+1} whenever the block has a nonzero rank
+    try:
+        lili = smallest_nonzero_lower(arr)
+    except PreconditionError:
+        assume(False)
+    wy = weyl_lower(arr)
+    tol = 1e-8 * (1.0 + abs(lili.exact_value))
+    assert wy.bound_value <= lili.bound_value + tol
+    assert lili.bound_value <= lili.exact_value + tol
 
 
 def test_lower_bound_dominance_psd():

@@ -269,6 +269,24 @@ def test_select_star(graph_file, capsys):
     assert greedy["evaluations"] == 4
 
 
+def test_select_text_reports_evaluations(graph_file, capsys):
+    path = graph_file(star_graph(4), "s4.txt")
+    assert main(["select", path, "--kappa", "10", "--budget", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "evaluations: 7"
+
+
+def test_tol_option_removed(graph_file, tmp_path, capsys):
+    doc = config_doc(graph_file(complete_graph(5), "k5.txt"), 1.0, 45.0, (0,),
+                     {"kind": "scalar_saturated", "a": 0.3, "b": 0.2})
+    cfg = write_config(tmp_path, doc)
+    for command in ("kappa", "simulate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, cfg, "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_select_budget_zero(graph_file, capsys):
     path = graph_file(path_graph(3), "p3.txt")
     code, payload = run_json(

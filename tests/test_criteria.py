@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pinnet import (
     PinnedSystemSpec,
@@ -10,20 +12,20 @@ from pinnet import (
     SymMatrix,
     ThresholdUndefinedError,
     ValidationError,
-    check_structural,
     complete_graph,
     evaluate,
-    exact_condition,
+    evaluate_pinning,
     iterative_bound,
     kappa_threshold,
     lambda_min_gt0,
+    laplacian,
     path_graph,
     pinned_operator,
     rhs_threshold,
 )
-from pinnet.criteria import sigma_lambda_min_gt0
+from pinnet.criteria import EXACT_MARGIN, sigma_lambda_min_gt0
 
-from helpers import random_connected_graph, scalar_spec
+from helpers import graphs, random_connected_graph, scalar_spec
 
 
 def kn_spec(n, sigma, kappa, pinned, f_bound):
@@ -36,17 +38,17 @@ def kn_spec(n, sigma, kappa, pinned, f_bound):
 
 def test_structural_scalar_holds_for_any_kappa():
     for kappa in [0.5, 1.0, 7.0]:
-        chk = check_structural(scalar_spec(path_graph(3), 1.0, kappa, (0,), 0.1))
-        assert chk.ok
-        assert chk.identity_residual == pytest.approx(0.0, abs=1e-15)
+        rep = evaluate(scalar_spec(path_graph(3), 1.0, kappa, (0,), 0.1))
+        assert rep.structural_ok
+        assert rep.identity_residual == pytest.approx(0.0, abs=1e-15)
 
 
 def test_structural_scalar_violated():
     spec = scalar_spec(path_graph(3), 1.0, 2.0, (0,), 0.1)
     spec = replace(spec, k_matrix=np.array([[2.5]]))
-    chk = check_structural(spec)
-    assert not chk.ok
-    assert chk.identity_residual == pytest.approx(1.0, abs=1e-12)
+    rep = evaluate(spec)
+    assert not rep.structural_ok
+    assert rep.identity_residual == pytest.approx(1.0, abs=1e-12)
 
 
 def test_structural_identity_case_n2():
@@ -61,7 +63,7 @@ def test_structural_identity_case_n2():
         pinned=(0,),
         f_bound=0.1,
     )
-    assert check_structural(spec).ok
+    assert evaluate(spec).structural_ok
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +165,24 @@ def test_iterative_bound_sound_random():
         assert iterative_bound(spec) <= exact + 1e-8
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    g=graphs(max_nodes=12),
+    data=st.data(),
+    sigma=st.sampled_from([0.5, 1.0, 2.0]),
+    factor=st.floats(1.01, 20.0),
+)
+def test_iterative_bound_sound_property(g, data, sigma, factor):
+    # certificate soundness: iterative_bound <= lambda_min>0(sigma L + kappa P)
+    # for kappa > sigma lambda_min>0(L), over generated graphs and pin sets
+    assume(g.num_edges > 0)
+    pinned = data.draw(st.lists(st.integers(0, g.num_nodes - 1), unique=True, max_size=4))
+    kappa = factor * sigma * lambda_min_gt0(laplacian(g))
+    spec = scalar_spec(g, sigma, kappa, pinned, 0.0)
+    exact = evaluate_pinning(g, sigma, kappa, pinned)
+    assert iterative_bound(spec) <= exact + 1e-8 * (1.0 + abs(exact))
+
+
 # ---------------------------------------------------------------------------
 # kappa threshold
 
@@ -172,6 +192,39 @@ def test_kappa_threshold_k5():
     # s = 5, threshold = s (s - rhs) / ((s - rhs) - sigma D) = 5 * 4.5 / 0.5 = 45
     spec = kn_spec(5, 1.0, 1.0, (0,), 0.5)
     assert kappa_threshold(spec) == pytest.approx(45.0, rel=1e-9)
+
+
+def test_kappa_threshold_is_sufficient_not_smallest():
+    # K5, sigma 1, pin 0, f_bound 0.5: the Li-Li certificate already clears
+    # rhs at kappa 5.01, far below the chain-bound inversion (45 up to
+    # round-off), and verdict_theorem means kappa >= kappa_threshold
+    rep = evaluate(kn_spec(5, 1.0, 5.01, (0,), 0.5))
+    assert rep.rhs_threshold == pytest.approx(0.5)
+    assert rep.iterative_bound == pytest.approx(0.5284, abs=1e-4)
+    assert rep.iterative_bound >= rep.rhs_threshold
+    assert rep.verdict_exact
+    assert rep.kappa_threshold == pytest.approx(45.0, rel=1e-12)
+    assert rep.kappa_threshold > 45.0
+    assert not rep.verdict_theorem
+    assert not evaluate(kn_spec(5, 1.0, 45.0, (0,), 0.5)).verdict_theorem
+    assert evaluate(kn_spec(5, 1.0, rep.kappa_threshold, (0,), 0.5)).verdict_theorem
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    sigma=st.floats(0.1, 5.0),
+    f_frac=st.floats(0.0, 0.99),
+    node=st.integers(0, 29),
+    factor=st.floats(1.0, 10.0),
+)
+def test_kappa_threshold_sufficient_property(n, sigma, f_frac, node, factor):
+    # kappa >= kappa_threshold => iterative_bound >= rhs_threshold, single pin on K_n
+    pinned = (node % n,)
+    kthr = kappa_threshold(kn_spec(n, sigma, 1.0, pinned, f_frac * sigma))
+    spec = kn_spec(n, sigma, kthr * factor, pinned, f_frac * sigma)
+    rhs = rhs_threshold(spec)
+    assert iterative_bound(spec) >= rhs - 1e-8 * (1.0 + abs(rhs))
 
 
 def test_kappa_threshold_empty_pinned():
@@ -219,24 +272,28 @@ def test_kappa_threshold_round_trip_consistency():
 
 
 def test_exact_condition_unpinned_kappa_zero():
-    chk = exact_condition(scalar_spec(path_graph(3), 1.0, 0.0, (), 0.5))
-    assert chk.ok
-    assert chk.exact_lambda == pytest.approx(1.0)
+    rep = evaluate(scalar_spec(path_graph(3), 1.0, 0.0, (), 0.5))
+    assert rep.structural_ok
+    assert rep.exact_lambda >= rep.rhs_threshold - EXACT_MARGIN * (1.0 + abs(rep.rhs_threshold))
+    assert rep.exact_lambda == pytest.approx(1.0)
     # consensus zero mode shows up in the true smallest eigenvalue
-    assert abs(chk.exact_lambda_min) <= 1e-9
+    assert abs(rep.exact_lambda_min) <= 1e-9
 
 
 def test_exact_condition_huge_f_bound():
-    assert not exact_condition(scalar_spec(path_graph(3), 1.0, 3.0, (0,), 1e3)).ok
+    rep = evaluate(scalar_spec(path_graph(3), 1.0, 3.0, (0,), 1e3))
+    assert rep.structural_ok
+    assert rep.exact_lambda < rep.rhs_threshold - EXACT_MARGIN * (1.0 + abs(rep.rhs_threshold))
 
 
 def test_exact_condition_reports_product_form():
     spec = kn_spec(5, 1.0, 45.0, (0,), 0.5)
-    chk = exact_condition(spec)
-    assert chk.ok
+    rep = evaluate(spec)
+    assert rep.structural_ok
+    assert rep.exact_lambda >= rep.rhs_threshold - EXACT_MARGIN * (1.0 + abs(rep.rhs_threshold))
     # product form: 0.5 * lambda_min * lambda_min(QB+B^TQ^T) vs f_bound*||Q||
-    assert chk.product_lhs == pytest.approx(chk.exact_lambda_min)
-    assert chk.product_rhs == pytest.approx(0.5)
+    assert rep.proposition_lhs == pytest.approx(rep.exact_lambda_min)
+    assert rep.proposition_rhs == pytest.approx(0.5)
 
 
 def test_evaluate_k5_at_threshold():
@@ -331,6 +388,25 @@ def test_monotonicity_exact_lambda():
             for k in range(1, 4)
         ]
         assert all(b >= a - 1e-10 for a, b in zip(grown, grown[1:]))
+
+
+def test_pins_must_be_integers():
+    k3 = complete_graph(3)
+    for bad in [(0.9,), (True,), (False,), ("0",), (1.7,), (np.float64(1.0),), (np.bool_(True),)]:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            scalar_spec(k3, 1.0, 1.0, bad, 0.0)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            pinned_operator(k3, 1.0, 2.0, bad)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            evaluate_pinning(k3, 1.0, 2.0, bad)
+    # Python and numpy integers stay accepted, and come out as Python ints
+    spec = scalar_spec(k3, 1.0, 1.0, (np.int64(2), np.int32(0)), 0.0)
+    assert spec.pinned == (2, 0)
+    assert all(type(i) is int for i in spec.pinned)
+    assert np.array_equal(
+        pinned_operator(k3, 1.0, 2.0, np.array([1])).array,
+        pinned_operator(k3, 1.0, 2.0, (1,)).array,
+    )
 
 
 def test_spec_validation():

@@ -22,16 +22,7 @@ from pinnet import (
     to_edge_list,
 )
 
-
-@st.composite
-def graphs(draw, max_nodes=10):
-    n = draw(st.integers(1, max_nodes))
-    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if possible:
-        edges = draw(st.lists(st.sampled_from(possible), unique=True))
-    else:
-        edges = []
-    return Graph(n, tuple(edges))
+from helpers import graphs
 
 
 def test_laplacian_path3():
