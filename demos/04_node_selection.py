@@ -2,7 +2,8 @@
 
 Maximizes lambda_min>0(sigma L + kappa P) exactly. Greedy growth is compared
 against the exhaustive oracle and the cheap highest-degree heuristic on a
-few topologies; the table reports objectives and eigensolve counts.
+few topologies; the table reports objectives and how many candidate sets
+each method scored (evals).
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ while cases["dense ER(10,0.6)"] is None or not pn.is_connected(cases["dense ER(1
 
 budget = 2
 print(f"budget = {budget}, sigma = {sigma}, kappa = {kappa}")
-print(f"{'graph':>24} {'method':>11} {'pinned':>12} {'objective':>12} {'solves':>7}")
+print(f"{'graph':>24} {'method':>11} {'pinned':>12} {'objective':>12} {'evals':>7}")
 for name, g in cases.items():
     rows = [
         pn.greedy_select(g, sigma, kappa, budget),

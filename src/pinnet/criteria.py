@@ -35,6 +35,12 @@ sum deg_i) as kappa grows, so a positive certificate needs the pinned degree
 sum to stay below the algebraic connectivity; kappa_threshold reports when
 that fails.
 
+Every verdict needs a pin in each connected component. A component without
+one keeps its consensus zero mode, which lambda_min>0 skips, so its error
+never decays however large the exact value reads; both verdicts are then
+False, with the component named in reasons["unpinned_component"], and
+kappa_threshold is undefined.
+
 Each spectral quantity is computed once per spec: sigma lambda_min>0(L),
 lambda_min(QB + B^T Q^T) and ||Q|| are memoised on it at first read (a failure
 raises again on the next read), and evaluate solves the operator once.
@@ -161,6 +167,30 @@ class PinnedSystemSpec:
     def _q_norm(self) -> float:
         return spectral_norm(self.q_matrix.array)
 
+    @cached_property
+    def _components(self) -> list[list[int]]:
+        return connected_components(self.graph)
+
+    @cached_property
+    def _unpinned_reason(self) -> str | None:
+        """Names the first component without a pin, or None if every one has one."""
+        unpinned = [c for c in self._components if set(self.pinned).isdisjoint(c)]
+        if not unpinned:
+            return None
+        more = f" ({len(unpinned)} components have none)" if len(unpinned) > 1 else ""
+        return f"component {_node_ranges(unpinned[0])} has no pinned node{more}"
+
+
+def _node_ranges(nodes: list[int]) -> str:
+    """Sorted node indices as {0..4, 7}: consecutive runs collapse to a..b."""
+    runs: list[list[int]] = []
+    for i in nodes:
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return "{" + ", ".join(str(a) if a == b else f"{a}..{b}" for a, b in runs) + "}"
+
 
 @dataclass
 class CriterionReport:
@@ -257,10 +287,17 @@ def kappa_threshold(spec: PinnedSystemSpec) -> float:
     not the smallest such kappa: the tighter iterative_bound can clear
     rhs_threshold well below it (K5, sigma 1, pin 0, f_bound 0.5: 0.528 >=
     0.5 at kappa 5.01, while kappa_threshold is 45 up to round-off). Raises
-    ThresholdUndefinedError when the decay condition fails (m <= 0) or the
-    chain bound saturates below the threshold (m <= sigma D, which happens
-    whenever the pinned degree sum reaches the algebraic connectivity).
+    ThresholdUndefinedError when a connected component has no pin (no pins
+    at all, pins whose degree sum is 0, an edgeless graph), when the decay
+    condition fails (m <= 0), or when the chain bound saturates below the
+    threshold (m <= sigma D, which happens whenever the pinned degree sum
+    reaches the algebraic connectivity).
     """
+    unpinned = spec._unpinned_reason
+    if unpinned is not None:
+        raise ThresholdUndefinedError(
+            f"no kappa can certify controllability: {unpinned}", unpinned
+        )
     rhs = rhs_threshold(spec)
     s = sigma_lambda_min_gt0(spec)
     margin = s - rhs
@@ -270,9 +307,7 @@ def kappa_threshold(spec: PinnedSystemSpec) -> float:
             f"decay condition fails, no kappa can certify controllability: {inequality}",
             inequality,
         )
-    deg_sum = float(degrees(spec.graph)[list(spec.pinned)].sum()) if spec.pinned else 0.0
-    if deg_sum == 0.0:
-        return s
+    deg_sum = float(degrees(spec.graph)[list(spec.pinned)].sum())
     if margin <= spec.sigma * deg_sum:
         inequality = (
             f"sigma*lambda_min>0(L) - rhs_threshold {margin:.6g} <= "
@@ -298,9 +333,10 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     definite. Individual failures become reasons, not aborts.
 
     verdict_theorem: structural identities hold, the decay condition holds,
-    and kappa >= kappa_threshold. verdict_exact: structural identities hold
-    and the exact comparison clears rhs_threshold. The first implies the
-    second by construction of the bound chain.
+    and kappa >= kappa_threshold. verdict_exact: structural identities hold,
+    every connected component has a pin, and the exact comparison clears
+    rhs_threshold. The first implies the second by construction of the bound
+    chain; kappa_threshold is undefined when a component has no pin.
     """
     q = spec.q_matrix.array
     qk = q @ spec.k_matrix
@@ -312,13 +348,13 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     reasons: dict[str, str] = {}
     flags: list[str] = []
 
-    components = connected_components(spec.graph)
-    connected = len(components) == 1
+    connected = len(spec._components) == 1
     if not connected:
         flags.append("disconnected")
+    unpinned = spec._unpinned_reason
     if not spec.pinned:
         flags.append("no_pinned_nodes")
-    elif any(set(spec.pinned).isdisjoint(c) for c in components):
+    elif unpinned is not None:
         flags.append("unpinned_component")
 
     def attempt(name: str, fn):
@@ -346,8 +382,11 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     verdict_theorem = bool(
         structural_ok and f_ok is True and kthr is not None and spec.kappa >= kthr
     )
+    if unpinned is not None:
+        reasons["unpinned_component"] = unpinned
     verdict_exact = bool(
         structural_ok
+        and unpinned is None
         and exact is not None
         and exact_lambda >= rhs - EXACT_MARGIN * (1.0 + abs(rhs))
     )

@@ -125,8 +125,9 @@ def test_acceptance_3_threshold_round_trip():
     cases = 0
     while cases < 100:
         if cases % 10 == 9:
-            # degenerate family: empty pinned set, threshold collapses to
-            # sigma*lambda_min>0(L)
+            # degenerate family: empty pinned set. The consensus mode stays
+            # undamped, so no threshold exists, and the gain
+            # sigma*lambda_min>0(L) that once stood for one certifies nothing
             g = random_connected_graph(rng, int(rng.integers(5, 21)), 0.5)
             sigma = float(rng.choice([0.5, 1.0, 2.0]))
             s = sigma * pn.lambda_min_gt0(pn.laplacian(g))
@@ -144,6 +145,14 @@ def test_acceptance_3_threshold_round_trip():
             pinned = (int(rng.integers(0, n)),)
         probe = scalar_spec(g, sigma, 1.0, pinned, fb)
         if not pn.rhs_threshold(probe) < pn.sigma_lambda_min_gt0(probe):
+            continue
+        if not pinned:
+            cases += 1
+            with pytest.raises(pn.ThresholdUndefinedError):
+                pn.kappa_threshold(probe)
+            rep = pn.evaluate(scalar_spec(g, sigma, s, pinned, fb))
+            if rep.verdict_theorem or rep.verdict_exact or "unpinned_component" not in rep.reasons:
+                failures += 1
             continue
         kthr = pn.kappa_threshold(probe)
         spec = scalar_spec(g, sigma, kthr, pinned, fb)

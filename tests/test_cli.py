@@ -210,6 +210,20 @@ def test_kappa_threshold_unattainable_exits_3(tmp_path, graph_file, capsys):
     assert "degree sum" in captured.err
 
 
+def test_kappa_unpinned_component_exits_3(tmp_path, graph_file, capsys):
+    path = graph_file(pinnet.disjoint_union(complete_graph(5), complete_graph(5)), "2k5.txt")
+    doc = config_doc(path, 1.0, 300.0, [0], {"kind": "scalar_saturated", "a": 0.3, "b": 0.2})
+    cfg = write_config(tmp_path, doc)
+    code = main(["kappa", cfg, "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    payload = json.loads(captured.out)
+    assert payload["verdict_theorem"] is False
+    assert payload["verdict_exact"] is False
+    assert payload["reasons"]["unpinned_component"] == "component {5..9} has no pinned node"
+    assert "component {5..9} has no pinned node" in captured.err
+
+
 def test_kappa_f_condition_fails_exits_3(tmp_path, graph_file, capsys):
     path = graph_file(path_graph(3), "p3.txt")
     doc = config_doc(path, 1.0, 3.0, [0], {"kind": "scalar_saturated", "a": 1.0, "b": 0.5})

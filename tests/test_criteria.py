@@ -7,12 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pinnet import (
+    Graph,
     PinnedSystemSpec,
     PreconditionError,
     SymMatrix,
     ThresholdUndefinedError,
     ValidationError,
     complete_graph,
+    disjoint_union,
     evaluate,
     evaluate_pinning,
     iterative_bound,
@@ -229,7 +231,9 @@ def test_kappa_threshold_sufficient_property(n, sigma, f_frac, node, factor):
 
 def test_kappa_threshold_empty_pinned():
     spec = scalar_spec(path_graph(3), 1.0, 1.0, (), 0.5)
-    assert kappa_threshold(spec) == pytest.approx(1.0)
+    with pytest.raises(ThresholdUndefinedError) as exc:
+        kappa_threshold(spec)
+    assert exc.value.failing_inequality == "component {0..2} has no pinned node"
 
 
 def test_kappa_threshold_f_condition_fails():
@@ -343,6 +347,28 @@ def test_evaluate_flags():
     assert "unpinned_component" in rep.flags
     rep2 = evaluate(scalar_spec(path_graph(3), 1.0, 2.0, (), 0.1))
     assert "no_pinned_nodes" in rep2.flags
+
+
+@pytest.mark.parametrize(
+    "graph, pinned, kappa, f_bound, component",
+    [
+        # f_bound 0.5 is ScalarSaturatedDynamics(0.3, 0.2), whose V grows
+        (complete_graph(5), (), 100.0, 0.5, "{0..4}"),
+        (disjoint_union(complete_graph(5), complete_graph(5)), (0,), 300.0, 0.5, "{5..9}"),
+        (Graph(4, ((0, 1), (1, 2))), (3,), 1.0, 0.1, "{0..2}"),
+        (Graph(3), (0,), 2.0, 0.1, "{1}"),
+    ],
+    ids=["k5_no_pins", "two_k5_one_pin", "isolated_pin", "edgeless"],
+)
+def test_unpinned_component_is_never_certified(graph, pinned, kappa, f_bound, component):
+    spec = scalar_spec(graph, 1.0, kappa, pinned, f_bound)
+    rep = evaluate(spec)
+    assert not rep.verdict_exact
+    assert not rep.verdict_theorem
+    assert rep.kappa_threshold is None
+    assert rep.reasons["unpinned_component"].startswith(f"component {component} has no pinned node")
+    with pytest.raises(ThresholdUndefinedError):
+        kappa_threshold(spec)
 
 
 def test_evaluate_never_aborts_on_field_errors():

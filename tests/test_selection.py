@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnet import (
     CombinatorialGuardError,
+    PinnetError,
+    SelectionResult,
     ValidationError,
     complete_graph,
     cycle_graph,
@@ -13,10 +19,43 @@ from pinnet import (
     greedy_select,
     is_connected,
     path_graph,
+    pinned_operator,
     star_graph,
 )
+from pinnet.selection import _secular_scores
+from pinnet.spectral import eig_sym
 
-from helpers import random_connected_graph
+from helpers import graphs, random_connected_graph
+
+
+def reference_greedy(g, sigma, kappa, budget):
+    """The dense greedy: one exact solve per candidate set, strictly larger
+    wins, in index order. greedy_select must match it bit for bit."""
+    if not 0 <= budget <= g.num_nodes:
+        raise ValidationError(f"budget {budget} must be between 0 and {g.num_nodes}")
+    chosen = []
+    objective = evaluate_pinning(g, sigma, kappa, ())
+    evaluations = 0
+    for _ in range(budget):
+        best_val, best_node = -math.inf, -1
+        for cand in range(g.num_nodes):
+            if cand in chosen:
+                continue
+            val = evaluate_pinning(g, sigma, kappa, chosen + [cand])
+            evaluations += 1
+            if val > best_val:
+                best_val, best_node = val, cand
+        chosen.append(best_node)
+        objective = best_val
+    return SelectionResult(tuple(chosen), float(objective), "greedy", evaluations)
+
+
+def outcome(select, *args):
+    """The result, or the error's type and message (edgeless graphs raise)."""
+    try:
+        return select(*args)
+    except PinnetError as exc:
+        return type(exc), str(exc)
 
 
 def test_evaluate_pinning_path3():
@@ -130,3 +169,35 @@ def test_determinism():
     b = greedy_select(g, 1.0, 6.0, 3)
     assert a == b
     assert exhaustive_select(g, 1.0, 6.0, 2) == exhaustive_select(g, 1.0, 6.0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=graphs(),
+    kappa=st.sampled_from([0.0, 1e-12, 1e-3, 2.0, 50.0, 1e4]),
+    sigma=st.sampled_from([0.5, 1.0, 3.0]),
+)
+def test_greedy_equals_dense_reference_property(g, kappa, sigma):
+    # picks, objective (==) and evaluations, on every budget, including
+    # disconnected and edgeless graphs, kappa 0 and ties
+    for budget in range(g.num_nodes + 1):
+        expected = outcome(reference_greedy, g, sigma, kappa, budget)
+        assert outcome(greedy_select, g, sigma, kappa, budget) == expected
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_greedy_equals_dense_reference_er150(seed):
+    g = erdos_renyi(150, 0.05, seed=seed)
+    assert greedy_select(g, 1.0, 5.0, 5) == reference_greedy(g, 1.0, 5.0, 5)
+
+
+@pytest.mark.parametrize("pinned", [(), (0,), (3, 17)])
+@pytest.mark.parametrize("kappa", [0.5, 5.0, 80.0])
+def test_secular_scores_match_dense_solves(pinned, kappa):
+    g = erdos_renyi(40, 0.2, seed=2)
+    assert is_connected(g)
+    base = eig_sym(pinned_operator(g, 1.0, kappa, pinned))
+    nodes = [i for i in range(g.num_nodes) if i not in pinned]
+    scores = _secular_scores(base, kappa, nodes)
+    dense = [evaluate_pinning(g, 1.0, kappa, pinned + (i,)) for i in nodes]
+    assert scores == pytest.approx(dense, rel=1e-12)

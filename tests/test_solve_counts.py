@@ -3,7 +3,8 @@
 Each certificate quantity is solved once: one evaluate() solves the
 Laplacian and the pinned operator once each, plus four n x n solves
 (two norms and lambda_min(QB + B^T Q^T) for the structural check, ||Q||
-for the threshold).
+for the threshold). Greedy selection solves the empty set once, then per
+round only the candidates its secular screen cannot rule out.
 """
 
 from collections import Counter
@@ -11,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pinnet import erdos_renyi, evaluate, to_edge_list
+from pinnet import complete_graph, erdos_renyi, evaluate, greedy_select, to_edge_list
 from pinnet.cli import main
 
 from helpers import scalar_spec
@@ -58,3 +59,15 @@ def test_spectrum_full_solves_two_matrices(eigh_sizes, graph_path, capsys):
     argv = ["spectrum", graph_path, "--kappa", "5", "--pinned", "0,1", "--full", "--json"]
     assert main(argv) == 0
     assert eigh_sizes == {N: 2}
+
+
+def test_greedy_solves_the_winner_once_per_round(eigh_sizes):
+    # down from 1 + 120 + 119 + 118 = 358 dense solves
+    greedy_select(erdos_renyi(120, 0.08, seed=7), 1.0, 5.0, 3)
+    assert eigh_sizes == {120: 4}
+
+
+def test_greedy_solves_every_tied_candidate(eigh_sizes):
+    # every node of K8 ties, so each round solves all of them: 1 + 8 + 7 + 6
+    greedy_select(complete_graph(8), 1.0, 5.0, 3)
+    assert eigh_sizes == {8: 22}
