@@ -36,7 +36,6 @@ from .dynamics import (
     SimConfig,
     Trajectory,
     check_decay,
-    rhs,
     simulate,
     trajectory_summary,
     write_trajectory_csv,

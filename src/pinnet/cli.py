@@ -70,9 +70,15 @@ def _fmt(value, digits=12):
 # config loading
 
 
-def _field(cfg: dict, key: str, convert):
-    """convert(cfg[key]); a missing or unconvertible value is a ValidationError."""
+_REQUIRED = object()
+
+
+def _field(cfg: dict, key: str, convert, default=_REQUIRED):
+    """convert(cfg[key]), or default when key is absent and a default is
+    given; a missing or unconvertible value is a ValidationError."""
     try:
+        if default is not _REQUIRED and key not in cfg:
+            return default
         return convert(cfg[key])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"config field {key!r} missing or malformed") from exc
@@ -85,8 +91,20 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A JSON integer or float; booleans, strings and null are refused."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """A number or nested lists of numbers as a float array; booleans,
+    strings and ragged lists are refused."""
+    def numbers(v):
+        return [numbers(x) for x in v] if isinstance(v, list) else _number(v)
+
+    return np.array(numbers(value), dtype=float)
 
 
 def _matrix_from(cfg: dict, key: str, n: int) -> np.ndarray:
@@ -97,19 +115,11 @@ def _matrix_from(cfg: dict, key: str, n: int) -> np.ndarray:
 
 
 def _dynamics_from(cfg: dict) -> dynamics.NodeDynamics:
-    try:
-        kind = cfg["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("dynamics descriptor needs a 'kind'") from exc
+    kind = _field(cfg, "kind", str)
     if kind == "linear":
-        if "matrix" not in cfg:
-            raise ValidationError("linear dynamics needs a 'matrix'")
         return dynamics.LinearDynamics(_field(cfg, "matrix", _array))
     if kind == "scalar_saturated":
-        try:
-            return dynamics.ScalarSaturatedDynamics(float(cfg["a"]), float(cfg["b"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("scalar_saturated dynamics needs 'a' and 'b'") from exc
+        return dynamics.ScalarSaturatedDynamics(_field(cfg, "a", _number), _field(cfg, "b", _number))
     raise ValidationError(f"unknown dynamics kind {kind!r}")
 
 
@@ -125,9 +135,6 @@ def load_analysis_config(path: str):
     if not isinstance(cfg, dict):
         raise ValidationError(f"config {path} must be a JSON object")
 
-    for field in ("graph_path", "sigma", "kappa", "pinned", "n"):
-        if field not in cfg:
-            raise ValidationError(f"config missing required field {field!r}")
     graph_path = _field(cfg, "graph_path", Path)
     if not graph_path.is_absolute():
         graph_path = cfg_path.parent / graph_path
@@ -136,9 +143,10 @@ def load_analysis_config(path: str):
     n = _field(cfg, "n", _integer)
     dyn = _dynamics_from(cfg.get("dynamics", {}))
     f_bound = dyn.f_bound
-    override = cfg.get("f_bound_override")
+    # null means absent
+    override = _field(cfg, "f_bound_override", lambda v: v if v is None else _number(v),
+                      default=None)
     if override is not None:
-        override = _field(cfg, "f_bound_override", float)
         if override < f_bound - 1e-12:
             print(
                 f"warning: f_bound_override {override:.6g} is below the "
@@ -149,8 +157,8 @@ def load_analysis_config(path: str):
 
     spec = criteria.PinnedSystemSpec(
         graph=g,
-        sigma=_field(cfg, "sigma", float),
-        kappa=_field(cfg, "kappa", float),
+        sigma=_field(cfg, "sigma", _number),
+        kappa=_field(cfg, "kappa", _number),
         b_matrix=_matrix_from(cfg, "b", n),
         k_matrix=_matrix_from(cfg, "k", n),
         q_matrix=SymMatrix(_matrix_from(cfg, "q", n)),
@@ -163,31 +171,20 @@ def load_analysis_config(path: str):
 def _sim_config_from(spec, dyn, sim_cfg: dict) -> dynamics.SimConfig:
     if not isinstance(sim_cfg, dict):
         raise ValidationError("sim block must be a JSON object")
-    for field in ("t0", "t_end", "dt", "s0"):
-        if field not in sim_cfg:
-            raise ValidationError(f"sim block missing required field {field!r}")
-    n = spec.state_dim
-    n_nodes = spec.graph.num_nodes
-    x0_cfg = sim_cfg.get("x0")
-    if x0_cfg is None:
-        raise ValidationError("sim block missing required field 'x0'")
-    if isinstance(x0_cfg, dict):
-        if "seed" not in x0_cfg:
-            raise ValidationError("random x0 needs a 'seed' for reproducibility")
-        rng = _field(x0_cfg, "seed", lambda v: np.random.default_rng(_integer(v)))
-        low = _field(x0_cfg, "low", float) if "low" in x0_cfg else -1.0
-        high = _field(x0_cfg, "high", float) if "high" in x0_cfg else 1.0
-        x0 = rng.uniform(low, high, size=(n_nodes, n))
-    else:
-        x0 = _field(sim_cfg, "x0", _array)
+    x0 = _field(sim_cfg, "x0", lambda v: v if isinstance(v, dict) else _array(v))
+    if isinstance(x0, dict):
+        rng = _field(x0, "seed", lambda v: np.random.default_rng(_integer(v)))
+        low = _field(x0, "low", _number, default=-1.0)
+        high = _field(x0, "high", _number, default=1.0)
+        x0 = rng.uniform(low, high, size=(spec.graph.num_nodes, spec.state_dim))
     return dynamics.SimConfig(
         system=spec,
         dynamics=dyn,
         x0=x0,
         s0=_field(sim_cfg, "s0", _array),
-        t0=_field(sim_cfg, "t0", float),
-        t_end=_field(sim_cfg, "t_end", float),
-        dt=_field(sim_cfg, "dt", float),
+        t0=_field(sim_cfg, "t0", _number),
+        t_end=_field(sim_cfg, "t_end", _number),
+        dt=_field(sim_cfg, "dt", _number),
     )
 
 

@@ -39,7 +39,10 @@ Every verdict needs a pin in each connected component. A component without
 one keeps its consensus zero mode, which lambda_min>0 skips, so its error
 never decays however large the exact value reads; both verdicts are then
 False, with the component named in reasons["unpinned_component"], and
-kappa_threshold is undefined.
+kappa_threshold is undefined. The exact verdict also needs sigma L + kappa P
+positive definite: with every component pinned but kappa within the rank
+tolerance (kappa = 0 is no control at all), lambda_min>0 skips the undamped
+smallest eigenvalue too, and reasons["singular_operator"] reports it.
 
 Each spectral quantity is computed once per spec: sigma lambda_min>0(L),
 lambda_min(QB + B^T Q^T) and ||Q|| are memoised on it at first read (a failure
@@ -334,9 +337,11 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
 
     verdict_theorem: structural identities hold, the decay condition holds,
     and kappa >= kappa_threshold. verdict_exact: structural identities hold,
-    every connected component has a pin, and the exact comparison clears
-    rhs_threshold. The first implies the second by construction of the bound
-    chain; kappa_threshold is undefined when a component has no pin.
+    every connected component has a pin, sigma L + kappa P is positive
+    definite (lambda_min>0 equals lambda_min, so no eigenvalue was skipped as
+    zero), and the exact comparison clears rhs_threshold. The first implies
+    the second by construction of the bound chain; kappa_threshold is
+    undefined when a component has no pin.
     """
     q = spec.q_matrix.array
     qk = q @ spec.k_matrix
@@ -382,12 +387,20 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     verdict_theorem = bool(
         structural_ok and f_ok is True and kthr is not None and spec.kappa >= kthr
     )
+    # lambda_min>0 skipped an eigenvalue: sigma L + kappa P is singular
+    singular = exact is not None and exact_lambda != exact_lambda_min
     if unpinned is not None:
         reasons["unpinned_component"] = unpinned
+    elif singular:
+        reasons["singular_operator"] = (
+            f"lambda_min(sigma L + kappa P) = {exact_lambda_min:.6g} is within the rank "
+            "tolerance, so the pinned operator is not positive definite"
+        )
     verdict_exact = bool(
         structural_ok
         and unpinned is None
         and exact is not None
+        and not singular
         and exact_lambda >= rhs - EXACT_MARGIN * (1.0 + abs(rhs))
     )
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -86,16 +85,6 @@ class ScalarSaturatedDynamics:
 
     def f(self, x: np.ndarray) -> np.ndarray:
         return self.a * x + self.b * np.tanh(x)
-
-    def coupling_ratio(self, xi, xi_tilde):
-        """F(xi, xi~) with the sech^2 limit on the diagonal xi == xi~."""
-        xi = np.asarray(xi, dtype=float)
-        xi_tilde = np.asarray(xi_tilde, dtype=float)
-        diff = xi - xi_tilde
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quot = (np.tanh(xi) - np.tanh(xi_tilde)) / diff
-        limit = 1.0 / np.cosh(xi) ** 2
-        return self.a + self.b * np.where(diff == 0.0, limit, quot)
 
 
 NodeDynamics = LinearDynamics | ScalarSaturatedDynamics
@@ -190,17 +179,6 @@ def _derivative(config: SimConfig):
     return deriv
 
 
-def rhs(config: SimConfig, t: float, states: np.ndarray, s: np.ndarray):
-    """Right-hand side (dx, ds) of the coupled system at one instant."""
-    z = np.vstack([np.asarray(states, dtype=float), np.asarray(s, dtype=float)])
-    if not np.all(np.isfinite(z)):
-        raise DivergenceError(
-            f"non-finite state at t = {t}", time=t, last_finite_index=-1
-        )
-    d = _derivative(config)(z)
-    return d[:-1], d[-1]
-
-
 def simulate(config: SimConfig) -> Trajectory:
     """Integrate with classical RK4 at fixed step dt, sampling every step.
 
@@ -283,11 +261,10 @@ def check_decay(traj: Trajectory) -> DecayReport:
     return DecayReport(ok=ok, atol=atol, violations=violations)
 
 
-def write_trajectory_csv(traj: Trajectory, target) -> None:
-    """CSV export with header t,node,component,x,e,V (V repeated per row) to
-    a path or an open text file, written one sample at a time."""
-    is_path = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """CSV export to path with header t,node,component,x,e,V (V repeated per
+    row), written one sample at a time."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "node", "component", "x", "e", "V"])
         _, n_nodes, n = traj.states.shape

@@ -2,8 +2,8 @@
 
 The solver is LAPACK's symmetric eigensolver via numpy, wrapped so that the
 output is reproducible for identical input bytes: eigenvalues sorted in
-descending order, and each eigenvector flipped so its entry of largest
-magnitude is positive (ties resolved by the first such entry).
+descending order. Eigenvectors are LAPACK's, each fixed only up to sign;
+every consumer squares their entries or an overlap with them.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class Spectrum:
 
 
 def eig_sym(m) -> Spectrum:
-    """Full spectrum of a symmetric matrix under the deterministic contract.
+    """Full spectrum of a symmetric matrix, eigenvalues descending and
+    eigenvectors up to sign.
 
     Raises NumericalError if the underlying solver fails to converge or the
     residual check ||M v - lambda v|| <= 1e-9 (1 + |lambda_1|) fails.
@@ -92,11 +93,6 @@ def eig_sym(m) -> Spectrum:
     # descending order
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    # sign rule: largest-magnitude entry of each eigenvector is positive
-    pivot = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[pivot, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    v *= signs
     scale = 1.0 + abs(w[0])
     residual = np.abs(sym.array @ v - v * w).max()
     if not np.isfinite(residual) or residual > RESIDUAL_RTOL * scale:

@@ -426,6 +426,34 @@ def test_integer_config_fields_strict(tmp_path, graph_file, capsys, field, value
         assert "malformed" in captured.err
 
 
+STRICT_SIM = {"t0": 0.0, "t_end": 2.0, "dt": 0.5, "x0": {"seed": 7, "low": -1.0}, "s0": [0.2]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f, text in [("sigma", "1.0"), ("kappa", "20"), ("f_bound_override", "0.3"),
+                            ("dynamics.a", "0.2"), ("dynamics.b", "0.1"), ("sim.t0", "0"),
+                            ("sim.t_end", "2"), ("sim.dt", "0.5"), ("sim.x0.low", "-1")]
+     for v in (True, text)]
+    + [(f, v) for f in ("b", "q", "sim.s0") for v in ([[True]], [["1"]])],
+)
+def test_number_config_fields_strict(tmp_path, graph_file, capsys, field, value):
+    # each value would read as a valid number through float() or np.asarray
+    doc = json.loads(Path(certified_k3_config(tmp_path, graph_file, sim=STRICT_SIM)).read_text())
+    *sections, key = field.split(".")
+    target = doc
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    cfg = write_config(tmp_path, doc, "strict.json")
+    commands = ["simulate"] if sections[:1] == ["sim"] else ["kappa", "simulate"]  # kappa ignores sim
+    for command in commands:
+        assert main([command, cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config field {key!r} missing or malformed" in captured.err
+
+
 def test_spectrum_bytes_stable_per_thread_count(tmp_path):
     path = tmp_path / "er300.txt"
     path.write_text(to_edge_list(erdos_renyi(300, 0.05, seed=4)))

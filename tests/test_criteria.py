@@ -10,20 +10,25 @@ from pinnet import (
     Graph,
     PinnedSystemSpec,
     PreconditionError,
+    ScalarSaturatedDynamics,
+    SimConfig,
     SymMatrix,
     ThresholdUndefinedError,
     ValidationError,
+    check_decay,
     complete_graph,
     disjoint_union,
     evaluate,
     evaluate_pinning,
     iterative_bound,
     kappa_threshold,
+    lambda_max,
     lambda_min_gt0,
     laplacian,
     path_graph,
     pinned_operator,
     rhs_threshold,
+    simulate,
 )
 from pinnet.criteria import EXACT_MARGIN, sigma_lambda_min_gt0
 
@@ -369,6 +374,56 @@ def test_unpinned_component_is_never_certified(graph, pinned, kappa, f_bound, co
     assert rep.reasons["unpinned_component"].startswith(f"component {component} has no pinned node")
     with pytest.raises(ThresholdUndefinedError):
         kappa_threshold(spec)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-12])
+def test_singular_operator_is_never_certified(kappa):
+    # every component pinned, but a gain within the rank tolerance leaves
+    # sigma L + kappa P singular; lambda_min>0 skips its smallest eigenvalue
+    spec = kn_spec(5, 1.0, kappa, (0,), 0.5)
+    rep = evaluate(spec)
+    assert rep.exact_lambda == pytest.approx(5.0)
+    assert rep.exact_lambda >= rep.rhs_threshold
+    assert abs(rep.exact_lambda_min) <= 1e-9
+    assert not rep.verdict_exact
+    assert not rep.verdict_theorem
+    assert "unpinned_component" not in rep.reasons
+    assert rep.reasons["singular_operator"].startswith("lambda_min(sigma L + kappa P) = ")
+    # and the error indeed grows: f = 0.3 x + 0.2 tanh x has f_bound 0.5
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(5, 1))
+    config = SimConfig(spec, ScalarSaturatedDynamics(0.3, 0.2), x0, np.zeros(1), 0.0, 5.0, 0.01)
+    assert not check_decay(simulate(config)).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=graphs(max_nodes=6),
+    data=st.data(),
+    sigma=st.sampled_from([0.5, 1.0, 2.0]),
+    kappa=st.sampled_from([0.0, 1e-12, 0.1, 1.0, 5.0, 20.0]),
+    a=st.floats(-1.0, 1.0),
+    b=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_verdicts_imply_decay_property(g, data, sigma, kappa, a, b, seed):
+    """verdict_theorem => verdict_exact => the simulated error decays."""
+    pinned = data.draw(st.lists(st.integers(0, g.num_nodes - 1), unique=True))
+    dyn = ScalarSaturatedDynamics(a, b)
+    spec = scalar_spec(g, sigma, kappa, pinned, dyn.f_bound)
+    rep = evaluate(spec)
+    assert rep.verdict_exact or not rep.verdict_theorem
+    if not rep.verdict_exact:
+        return
+    # RK4 step with dt (lambda_max + f_bound) <= 0.5, over a short horizon so
+    # the reference s' = f(s) stays below the overflow guard
+    t_end = 5.0
+    rate = lambda_max(pinned_operator(g, sigma, kappa, pinned)) + dyn.f_bound
+    dt = t_end / math.ceil(2.0 * t_end * rate)
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, 1.0, size=(g.num_nodes, 1))
+    s0 = rng.uniform(-1.0, 1.0, size=1)
+    traj = simulate(SimConfig(spec, dyn, x0, s0, 0.0, t_end, dt))
+    assert check_decay(traj).ok
 
 
 def test_evaluate_never_aborts_on_field_errors():

@@ -1,5 +1,4 @@
 import csv
-import io
 import math
 
 import numpy as np
@@ -20,11 +19,11 @@ from pinnet import (
     erdos_renyi,
     laplacian,
     path_graph,
-    rhs,
     simulate,
     trajectory_summary,
     write_trajectory_csv,
 )
+from pinnet.dynamics import _derivative
 
 from helpers import scalar_spec
 
@@ -56,16 +55,10 @@ def test_linear_dynamics_must_be_square():
             LinearDynamics(bad)
 
 
-def test_coupling_ratio_identity():
-    dyn = ScalarSaturatedDynamics(0.7, -0.3)
-    rng = np.random.default_rng(21)
-    xi = rng.uniform(-3, 3, size=200)
-    xj = rng.uniform(-3, 3, size=200)
-    lhs = dyn.coupling_ratio(xi, xj) * (xi - xj)
-    rhs_vals = dyn.f(xi) - dyn.f(xj)
-    assert np.abs(lhs - rhs_vals).max() <= 1e-12
-    # equal arguments take the sech^2 limit
-    assert dyn.coupling_ratio(1.3, 1.3) == pytest.approx(0.7 - 0.3 / math.cosh(1.3) ** 2)
+def derivative_at(config, states, s):
+    """(dx, ds) of the coupled system, read from one stacked (N+1, n) state."""
+    d = _derivative(config)(np.vstack([states, s]))
+    return d[:-1], d[-1]
 
 
 def test_rhs_zero_error_consensus():
@@ -74,23 +67,20 @@ def test_rhs_zero_error_consensus():
     s = np.array([0.8])
     states = np.tile(s, (3, 1))
     config = SimConfig(spec, dyn, states, s, 0.0, 1.0, 0.01)
-    dx, ds = rhs(config, 0.0, states, s)
+    dx, ds = derivative_at(config, states, s)
     assert np.allclose(ds, dyn.f(s), atol=0)
     assert np.abs(dx - dyn.f(s)).max() <= 1e-12
 
 
 def test_rhs_isolated_feedback():
     # edgeless graph: coupling vanishes, only the pinned node moves
-    spec = single_node_spec(2.0)
-    import pinnet
-
-    spec = pinnet.PinnedSystemSpec(
+    spec = PinnedSystemSpec(
         graph=Graph(3),
         sigma=1.0,
         kappa=2.0,
         b_matrix=np.eye(1),
         k_matrix=2.0 * np.eye(1),
-        q_matrix=pinnet.SymMatrix(np.eye(1)),
+        q_matrix=SymMatrix(np.eye(1)),
         pinned=(0,),
         f_bound=0.0,
     )
@@ -98,7 +88,7 @@ def test_rhs_isolated_feedback():
     states = np.array([[0.5], [1.5], [-2.0]])
     s = np.array([1.0])
     config = SimConfig(spec, dyn, states, s, 0.0, 1.0, 0.01)
-    dx, ds = rhs(config, 0.0, states, s)
+    dx, ds = derivative_at(config, states, s)
     assert dx[0, 0] == pytest.approx(2.0 * (1.0 - 0.5), abs=0)
     assert dx[1, 0] == 0.0 and dx[2, 0] == 0.0
     assert ds[0] == 0.0
@@ -109,18 +99,9 @@ def test_rhs_pure_diffusion():
     dyn = ScalarSaturatedDynamics(0.0, 0.0)
     states = np.array([[1.0], [-0.5]])
     config = SimConfig(spec, dyn, states, np.zeros(1), 0.0, 1.0, 0.01)
-    dx, _ = rhs(config, 0.0, states, np.zeros(1))
+    dx, _ = derivative_at(config, states, np.zeros(1))
     expected = -laplacian(path_graph(2)).array @ states
     assert np.allclose(dx, expected, atol=1e-14)
-
-
-def test_rhs_nonfinite_state():
-    spec = scalar_spec(path_graph(2), 1.0, 0.0, (), 0.0)
-    config = SimConfig(
-        spec, ScalarSaturatedDynamics(0.0, 0.0), np.zeros((2, 1)), np.zeros(1), 0.0, 1.0, 0.01
-    )
-    with pytest.raises(DivergenceError):
-        rhs(config, 0.3, np.array([[np.inf], [0.0]]), np.zeros(1))
 
 
 def test_simulate_scalar_closed_form():
@@ -236,12 +217,13 @@ def test_divergence_guard():
     assert err.time > 0
 
 
-def test_csv_export_roundtrip():
+def test_csv_export_roundtrip(tmp_path):
     config = path3_linear_config(1.0)  # 5 samples
     traj = simulate(config)
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    out = tmp_path / "run.csv"
+    write_trajectory_csv(traj, out)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["t", "node", "component", "x", "e", "V"]
     n_samples, n_nodes, n = traj.states.shape
     assert len(rows) == 1 + n_samples * n_nodes * n
