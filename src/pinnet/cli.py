@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,15 +20,9 @@ import numpy as np
 
 from . import criteria, dynamics, selection
 from .bounds import BoundKind, arrow_lower
-from .errors import (
-    DegenerateGapError,
-    DivergenceError,
-    NumericalError,
-    PinnetError,
-    PreconditionError,
-    ValidationError,
-)
-from .graphs import Graph, degrees, is_connected, laplacian, parse_edge_list
+from .errors import (DegenerateGapError, DivergenceError, PinnetError, PreconditionError,
+                     ValidationError)
+from .graphs import Graph, _int_text, degrees, is_connected, laplacian, parse_edge_list
 from .spectral import SymMatrix, eig_sym, lambda_min_gt0, lambda_min_gt0_sorted
 
 EXIT_OK = 0
@@ -48,7 +43,7 @@ def _parse_pinned(raw: str | None) -> tuple[int, ...]:
     if not raw:
         return ()
     try:
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
+        return tuple(_int_text(tok) for tok in raw.replace(",", " ").split())
     except ValueError as exc:
         raise ValidationError(f"bad pinned list {raw!r}") from exc
 
@@ -73,15 +68,19 @@ def _fmt(value, digits=12):
 _REQUIRED = object()
 
 
-def _field(cfg: dict, key: str, convert, default=_REQUIRED):
-    """convert(cfg[key]), or default when key is absent and a default is
-    given; a missing or unconvertible value is a ValidationError."""
+def _field(cfg: dict, path: str, convert, default=_REQUIRED):
+    """convert(the value at the dotted path from the root config), or default
+    when its last key is absent and a default is given; a missing or
+    unconvertible value is a ValidationError that names the full path."""
+    *sections, key = path.split(".")
     try:
+        for section in sections:
+            cfg = cfg[section]
         if default is not _REQUIRED and key not in cfg:
             return default
         return convert(cfg[key])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"config field {key!r} missing or malformed") from exc
+        raise ValidationError(f"config field {path!r} missing or malformed") from exc
 
 
 def _integer(value) -> int:
@@ -115,16 +114,17 @@ def _matrix_from(cfg: dict, key: str, n: int) -> np.ndarray:
 
 
 def _dynamics_from(cfg: dict) -> dynamics.NodeDynamics:
-    kind = _field(cfg, "kind", str)
+    kind = _field(cfg, "dynamics.kind", str)
     if kind == "linear":
-        return dynamics.LinearDynamics(_field(cfg, "matrix", _array))
+        return dynamics.LinearDynamics(_field(cfg, "dynamics.matrix", _array))
     if kind == "scalar_saturated":
-        return dynamics.ScalarSaturatedDynamics(_field(cfg, "a", _number), _field(cfg, "b", _number))
+        a, b = _field(cfg, "dynamics.a", _number), _field(cfg, "dynamics.b", _number)
+        return dynamics.ScalarSaturatedDynamics(a, b)
     raise ValidationError(f"unknown dynamics kind {kind!r}")
 
 
 def load_analysis_config(path: str):
-    """Parse the analysis config JSON into (spec, dynamics, sim block or None)."""
+    """Parse the analysis config JSON into (spec, dynamics, the config itself)."""
     cfg_path = Path(path)
     try:
         cfg = json.loads(cfg_path.read_text())
@@ -141,7 +141,7 @@ def load_analysis_config(path: str):
     g = _load_graph(str(graph_path))
 
     n = _field(cfg, "n", _integer)
-    dyn = _dynamics_from(cfg.get("dynamics", {}))
+    dyn = _dynamics_from(cfg)
     f_bound = dyn.f_bound
     # null means absent
     override = _field(cfg, "f_bound_override", lambda v: v if v is None else _number(v),
@@ -165,26 +165,27 @@ def load_analysis_config(path: str):
         pinned=_field(cfg, "pinned", lambda v: tuple(_integer(i) for i in v)),
         f_bound=f_bound,
     )
-    return spec, dyn, cfg.get("sim")
+    return spec, dyn, cfg
 
 
-def _sim_config_from(spec, dyn, sim_cfg: dict) -> dynamics.SimConfig:
-    if not isinstance(sim_cfg, dict):
-        raise ValidationError("sim block must be a JSON object")
-    x0 = _field(sim_cfg, "x0", lambda v: v if isinstance(v, dict) else _array(v))
+def _sim_config_from(cfg: dict, spec, dyn) -> dynamics.SimConfig:
+    x0 = _field(cfg, "sim.x0", lambda v: v if isinstance(v, dict) else _array(v))
     if isinstance(x0, dict):
-        rng = _field(x0, "seed", lambda v: np.random.default_rng(_integer(v)))
-        low = _field(x0, "low", _number, default=-1.0)
-        high = _field(x0, "high", _number, default=1.0)
+        rng = _field(cfg, "sim.x0.seed", lambda v: np.random.default_rng(_integer(v)))
+        low = _field(cfg, "sim.x0.low", _number, default=-1.0)
+        high = _field(cfg, "sim.x0.high", _number, default=1.0)
+        if not (low <= high and math.isfinite(high - low)):
+            raise ValidationError(f"config field 'sim.x0' needs low <= high and a finite "
+                                  f"high - low, got low {low!r} and high {high!r}")
         x0 = rng.uniform(low, high, size=(spec.graph.num_nodes, spec.state_dim))
     return dynamics.SimConfig(
         system=spec,
         dynamics=dyn,
         x0=x0,
-        s0=_field(sim_cfg, "s0", _array),
-        t0=_field(sim_cfg, "t0", _number),
-        t_end=_field(sim_cfg, "t_end", _number),
-        dt=_field(sim_cfg, "dt", _number),
+        s0=_field(cfg, "sim.s0", _array),
+        t0=_field(cfg, "sim.t0", _number),
+        t_end=_field(cfg, "sim.t_end", _number),
+        dt=_field(cfg, "sim.dt", _number),
     )
 
 
@@ -192,12 +193,16 @@ def _sim_config_from(spec, dyn, sim_cfg: dict) -> dynamics.SimConfig:
 # commands
 
 
-def cmd_spectrum(args) -> int:
+def _pinned_spectra(args):
+    """The graph, the pins, and the descending eigenvalues of sigma L + kappa P and of L."""
     g = _load_graph(args.graph)
     pinned = _parse_pinned(args.pinned)
     op = criteria.pinned_operator(g, args.sigma, args.kappa, pinned)
-    lap_w = eig_sym(laplacian(g)).eigenvalues
-    op_w = eig_sym(op).eigenvalues
+    return g, pinned, eig_sym(op).eigenvalues, eig_sym(laplacian(g)).eigenvalues
+
+
+def cmd_spectrum(args) -> int:
+    g, pinned, op_w, lap_w = _pinned_spectra(args)
     payload = {
         "num_nodes": g.num_nodes,
         "num_edges": g.num_edges,
@@ -250,11 +255,10 @@ def _step_rows(g, sigma, kappa, pinned, s, exact):
 
 
 def cmd_bounds(args) -> int:
-    g = _load_graph(args.graph)
-    pinned = _parse_pinned(args.pinned)
+    g, pinned, op_w, lap_w = _pinned_spectra(args)
     sigma, kappa = args.sigma, args.kappa
-    exact = lambda_min_gt0(criteria.pinned_operator(g, sigma, kappa, pinned))
-    s = sigma * lambda_min_gt0(laplacian(g))
+    exact = lambda_min_gt0_sorted(op_w)
+    s = sigma * lambda_min_gt0_sorted(lap_w)
     deg = degrees(g)
     payload = {
         "sigma": sigma,
@@ -350,10 +354,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, dyn, sim_cfg = load_analysis_config(args.config)
-    if sim_cfg is None:
-        raise ValidationError("config has no 'sim' block")
-    config = _sim_config_from(spec, dyn, sim_cfg)
+    spec, dyn, cfg = load_analysis_config(args.config)
+    config = _sim_config_from(cfg, spec, dyn)
     report = criteria.evaluate(spec)
     try:
         traj = dynamics.simulate(config)
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_int_text, required=True)
     p.add_argument(
         "--method",
         choices=[selection.GREEDY, selection.DEGREE, selection.EXHAUSTIVE],
@@ -426,23 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # the grammar never changes, so every main() call reuses it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except PinnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, ValidationError):
+            return EXIT_INPUT
+        return EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

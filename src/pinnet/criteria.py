@@ -52,7 +52,6 @@ raises again on the next read), and evaluate solves the operator once.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,7 +59,7 @@ import numpy as np
 
 from .bounds import lili_term
 from .errors import PinnetError, PreconditionError, ThresholdUndefinedError, ValidationError
-from .graphs import Graph, connected_components, degrees, laplacian
+from .graphs import Graph, _index, connected_components, degrees, laplacian
 from .spectral import (
     SymMatrix,
     as_sym_matrix,
@@ -88,19 +87,9 @@ def _check_gains(sigma: float, kappa: float) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
-def _pin_index(i) -> int:
-    """A Python or numpy integer; bools, floats and strings are refused."""
-    if isinstance(i, (bool, np.bool_)):
-        raise ValidationError(f"pinned index {i!r} must be an integer")
-    try:
-        return operator.index(i)
-    except TypeError as exc:
-        raise ValidationError(f"pinned index {i!r} must be an integer") from exc
-
-
 def _check_pins(pinned, num_nodes: int) -> tuple[int, ...]:
     """The pin rule: distinct integer node indices in range(num_nodes)."""
-    pinned = tuple(_pin_index(i) for i in pinned)
+    pinned = tuple(_index(i, "pinned index") for i in pinned)
     if len(set(pinned)) != len(pinned):
         raise ValidationError(f"pinned indices must be distinct: {pinned}")
     for i in pinned:

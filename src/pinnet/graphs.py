@@ -6,6 +6,7 @@ function, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,28 +19,58 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _index(value, name: str) -> int:
+    """The integer rule for values: a Python or numpy integer; bools, floats
+    and strings are refused with a ValidationError."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} {value!r} must be an integer")
+
+
+def _int_text(token: str) -> int:
+    """The integer rule for text: ASCII digits with an optional leading minus
+    (no '+', '_', spaces or other scripts' digits); ValueError otherwise."""
+    if token.isdigit() and token.isascii():
+        return int(token)
+    if token[:1] == "-" and token[1:].isdigit() and token.isascii():
+        return int(token)
+    raise ValueError(f"invalid integer {token!r}")
+
+
+_int_text.__name__ = "int"  # argparse names a bad --budget "invalid int value", as before
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on nodes 0..num_nodes-1.
 
-    Edges are stored lexicographically sorted with u < v; duplicates collapse.
+    num_nodes and every endpoint must be Python or numpy integers (True, 0.5
+    and "0" are refused, never converted). Edges are stored lexicographically
+    sorted with u < v; duplicates collapse.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        if self.num_nodes < 1:
-            raise ValidationError(f"num_nodes must be positive, got {self.num_nodes}")
+        num_nodes = _index(self.num_nodes, "num_nodes")
+        if num_nodes < 1:
+            raise ValidationError(f"num_nodes must be positive, got {num_nodes}")
         seen = set()
         for u, v in self.edges:
+            if not (type(u) is int and type(v) is int):
+                u, v = _index(u, "edge endpoint"), _index(v, "edge endpoint")
             if u == v:
                 raise ValidationError(f"self-loop at node {u}")
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise ValidationError(
-                    f"edge ({u}, {v}) out of range for {self.num_nodes} nodes"
-                )
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise ValidationError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
             seen.add(_normalize_edge(u, v))
+        object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @property
@@ -127,8 +158,9 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header line "N <num_nodes>", then "u v" lines.
 
     Lines starting with '#' are comments; blank lines are ignored; duplicate
-    edges collapse. Raises GraphParseError with the line number on malformed
-    input and ValidationError on self-loops or out-of-range indices.
+    edges collapse. Every integer is read by _int_text. Raises GraphParseError
+    with the line number on malformed input and ValidationError on self-loops
+    or out-of-range indices.
     """
     num_nodes = None
     edges = []
@@ -143,14 +175,14 @@ def parse_edge_list(text: str) -> Graph:
                     f"expected header 'N <num_nodes>', got {line!r}", lineno
                 )
             try:
-                num_nodes = int(parts[1])
+                num_nodes = _int_text(parts[1])
             except ValueError:
                 raise GraphParseError(f"bad node count {parts[1]!r}", lineno) from None
             continue
         if len(parts) != 2:
             raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _int_text(parts[0]), _int_text(parts[1])
         except ValueError:
             raise GraphParseError(f"non-integer endpoint in {line!r}", lineno) from None
         edges.append((u, v))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .criteria import pinned_operator
 from .errors import CombinatorialGuardError, ValidationError
-from .graphs import Graph, degrees
+from .graphs import Graph, _index, degrees
 from .spectral import Spectrum, default_rank_tol, eig_sym, lambda_min_gt0, lambda_min_gt0_sorted
 
 EXHAUSTIVE_GUARD = 10**6
@@ -51,11 +51,13 @@ def evaluate_pinning(g: Graph, sigma: float, kappa: float, pinned) -> float:
     return lambda_min_gt0(pinned_operator(g, sigma, kappa, pinned))
 
 
-def _check_budget(g: Graph, budget: int):
+def _check_budget(g: Graph, budget: int) -> int:
+    budget = _index(budget, "budget")
     if not 0 <= budget <= g.num_nodes:
         raise ValidationError(
             f"budget {budget} must be between 0 and {g.num_nodes}"
         )
+    return budget
 
 
 def _secular_scores(base: Spectrum, kappa: float, nodes) -> np.ndarray:
@@ -65,14 +67,17 @@ def _secular_scores(base: Spectrum, kappa: float, nodes) -> np.ndarray:
     With M = V diag(lam) V^T, lam ascending and z = V[i], it is the root in
     [lam_1, min(lam_2, lam_1 + kappa z_1^2)] of the increasing secular
     function 1 + kappa sum_j z_j^2 / (lam_j - mu) (interlacing bounds it by
-    lam_2, the Rayleigh quotient of v_1 by lam_1 + kappa z_1^2). Bisection
-    runs on all nodes at once; a root past the bracket, where z_1 or z_2
-    vanishes, ends on the bracket's end, which is then the eigenvalue.
+    lam_2, the Rayleigh quotient of v_1 by lam_1 + kappa z_1^2; a one-node
+    graph has no lam_2, so the quotient alone bounds it). Bisection runs on
+    all nodes at once; a root past the bracket, where z_1 or z_2 vanishes,
+    ends on the bracket's end, which is then the eigenvalue.
     """
     lam = base.eigenvalues[::-1]
     z2 = base.eigenvectors[list(nodes)][:, ::-1] ** 2
     lo = np.full(len(z2), lam[0])
-    hi = np.minimum(lam[1], lam[0] + kappa * z2[:, 0])
+    hi = lam[0] + kappa * z2[:, 0]
+    if len(lam) > 1:
+        hi = np.minimum(lam[1], hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(SECULAR_STEPS):
             mid = 0.5 * (lo + hi)
@@ -101,10 +106,11 @@ def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
     of solving every candidate densely; ties (complete graphs, cycles) are
     all solved, so a round costs between 1 and N - k dense solves.
     """
-    _check_budget(g, budget)
-    chosen: list[int] = []
+    budget = _check_budget(g, budget)
     base = eig_sym(pinned_operator(g, sigma, kappa, ()))
-    objective = lambda_min_gt0_sorted(base.eigenvalues)
+    if budget == 0:
+        return SelectionResult((), lambda_min_gt0_sorted(base.eigenvalues), GREEDY, 0)
+    chosen: list[int] = []
     evaluations = 0
     for _ in range(budget):
         cands = [i for i in range(g.num_nodes) if i not in chosen]
@@ -121,13 +127,12 @@ def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
             if val > best_val:
                 best_val, best_node, base = val, cand, spectrum
         chosen.append(best_node)
-        objective = best_val
-    return SelectionResult(tuple(chosen), float(objective), GREEDY, evaluations)
+    return SelectionResult(tuple(chosen), float(best_val), GREEDY, evaluations)
 
 
 def degree_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:
     """Pin the budget highest-degree nodes, ties toward the smallest index."""
-    _check_budget(g, budget)
+    budget = _check_budget(g, budget)
     deg = degrees(g)
     order = sorted(range(g.num_nodes), key=lambda i: (-deg[i], i))
     pinned = tuple(order[:budget])
@@ -138,7 +143,7 @@ def degree_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
 def exhaustive_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:
     """True argmax over all budget-subsets; ties toward the lexicographically
     smallest subset. Refuses when C(N, budget) exceeds 10^6."""
-    _check_budget(g, budget)
+    budget = _check_budget(g, budget)
     count = math.comb(g.num_nodes, budget)
     if count > EXHAUSTIVE_GUARD:
         raise CombinatorialGuardError(

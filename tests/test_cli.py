@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinnet
+from pinnet import cli
 from pinnet import (
     complete_graph,
     erdos_renyi,
@@ -451,7 +452,57 @@ def test_number_config_fields_strict(tmp_path, graph_file, capsys, field, value)
         assert main([command, cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"config field {key!r} missing or malformed" in captured.err
+        assert f"config field {field!r} missing or malformed" in captured.err
+
+
+@pytest.mark.parametrize("field", ["b", "dynamics.b", "sim.x0.seed", "sim.dt", "dynamics"])
+def test_config_error_names_the_full_path(tmp_path, graph_file, capsys, field):
+    # the top-level b matrix and dynamics.b are told apart
+    doc = json.loads(Path(certified_k3_config(tmp_path, graph_file, sim=STRICT_SIM)).read_text())
+    *sections, key = field.split(".")
+    target = doc
+    for section in sections:
+        target = target[section]
+    del target[key]
+    cfg = write_config(tmp_path, doc, "missing.json")
+    assert main(["simulate", cfg]) == 2
+    shown = "dynamics.kind" if field == "dynamics" else field
+    assert capsys.readouterr().err == f"error: config field {shown!r} missing or malformed\n"
+
+
+@pytest.mark.parametrize("sim", [None, [], "sim", {"t0": 0.0}])
+def test_missing_or_malformed_sim_block_names_sim_x0(tmp_path, graph_file, capsys, sim):
+    doc = json.loads(Path(certified_k3_config(tmp_path, graph_file)).read_text())
+    if sim is not None:
+        doc["sim"] = sim
+    cfg = write_config(tmp_path, doc, "nosim.json")
+    assert main(["simulate", cfg]) == 2
+    assert capsys.readouterr().err == "error: config field 'sim.x0' missing or malformed\n"
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(1.0, -1.0), (float("nan"), 1.0), (-float("inf"), 1.0), (-1.0, float("inf")),
+     (-1e308, 1e308), (1e308, -1e308)],
+)
+def test_simulate_bad_random_x0_bounds_exit_2(tmp_path, graph_file, capsys, low, high):
+    sim = {"t0": 0.0, "t_end": 0.1, "dt": 0.01, "x0": {"seed": 1, "low": low, "high": high},
+           "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, sim=sim)  # json writes NaN and Infinity
+    assert main(["simulate", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config field 'sim.x0' needs low <= high")
+
+
+def test_simulate_equal_random_x0_bounds(tmp_path, graph_file, capsys):
+    sim = {"t0": 0.0, "t_end": 0.1, "dt": 0.01, "x0": {"seed": 1, "low": 2.0, "high": 2.0},
+           "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
+    out_csv = tmp_path / "x0.csv"
+    assert main(["simulate", cfg, "--out", str(out_csv)]) == 0
+    first = out_csv.read_text().splitlines()[1:4]
+    assert [row.split(",")[3] for row in first] == ["2.0"] * 3
 
 
 def test_spectrum_bytes_stable_per_thread_count(tmp_path):
@@ -479,6 +530,64 @@ def test_simulate_bad_x0_exits_2(tmp_path, graph_file, capsys, x0):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "x0 must" in captured.err
+
+
+def test_main_reuses_one_parser(graph_file, capsys, monkeypatch):
+    def rebuild():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    path = graph_file(path_graph(3), "p3.txt")
+    assert [main(["spectrum", path, "--json"]) for _ in range(3)] == [0, 0, 0]
+    outs = capsys.readouterr().out
+    assert outs.count("lambda_min_gt0_laplacian") == 3
+
+
+@pytest.mark.parametrize(
+    "nodes, argv, code",
+    [(3, ["select", "--kappa", "2", "--budget", "1"], 0),
+     (3, ["spectrum", "--pinned", "9"], 2),
+     (30, ["select", "--kappa", "2", "--budget", "15", "--method", "exhaustive"], 3),
+     (3, ["spectrum"], 4)],
+    ids=["ok", "validation", "precondition", "numerical"],
+)
+def test_exit_code_follows_the_error_class(tmp_path, capsys, nodes, argv, code):
+    # edgeless graphs: L has no nonzero eigenvalue, a NumericalError
+    path = tmp_path / "edgeless.txt"
+    path.write_text(f"N {nodes}\n")
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code else err == ""
+
+
+@pytest.mark.parametrize("pinned", ["1_0", "\u0661", "+1", "\uff11"])
+def test_pinned_list_reads_ascii_integers_only(graph_file, capsys, pinned):
+    # int() would read 1_0 as 10 and the Arabic-Indic and fullwidth digits as 1
+    path = graph_file(complete_graph(12), "k12.txt")
+    assert main(["spectrum", path, "--kappa", "2", "--pinned", pinned]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad pinned list {pinned!r}\n"
+
+
+@pytest.mark.parametrize("budget", ["1_0", "+2", "\u0662", " 2"])
+def test_budget_reads_ascii_integers_only(graph_file, capsys, budget):
+    path = graph_file(path_graph(12), "p12.txt")
+    with pytest.raises(SystemExit) as exc:
+        main(["select", path, "--kappa", "2", "--budget", budget, "--method", "degree"])
+    assert exc.value.code == 2
+    assert f"argument --budget: invalid int value: {budget!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["greedy", "degree", "exhaustive"])
+@pytest.mark.parametrize("n, budget", [(3, 3), (1, 1)])
+def test_select_on_edgeless_and_one_node_graphs(tmp_path, capsys, method, n, budget):
+    path = tmp_path / "edgeless.txt"
+    path.write_text(f"N {n}\n")
+    code, payload = run_json(capsys, ["select", str(path), "--kappa", "2", "--budget",
+                                      str(budget), "--method", method, "--json"])
+    assert code == 0
+    assert (payload["pinned"], payload["objective"]) == (list(range(n)), 2.0)
 
 
 def test_simulate_missing_sim_block_exits_2(tmp_path, graph_file, capsys):

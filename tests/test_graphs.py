@@ -88,6 +88,40 @@ def test_parse_edge_list_missing_header():
         parse_edge_list("0 1\n1 2")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("N 1_2\n0 1", 1), ("N +3\n0 1", 1), ("N ３\n0 1", 1),
+     ("N 3\n0 ٢", 2), ("N 12\n1_0 2", 2), ("N 3\n+0 1", 2), ("N 3\n0 -", 2)],
+)
+def test_parse_edge_list_reads_ascii_integers_only(text, line):
+    # int() would read each of these: 1_2 as 12, +3 as 3, ３ and ٢ as digits
+    with pytest.raises(GraphParseError) as exc:
+        parse_edge_list(text)
+    assert exc.value.line_number == line
+
+
+def test_parse_edge_list_negative_endpoint_reaches_range_check():
+    with pytest.raises(ValidationError, match=r"edge \(0, -1\) out of range"):
+        parse_edge_list("N 3\n0 -1")
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((3, ((0.5, 1),)), "edge endpoint 0.5"), ((3, ((0, 1.9),)), "edge endpoint 1.9"),
+     ((3, ((True, 2),)), "edge endpoint True"), ((3, (("0", 1),)), "edge endpoint '0'"),
+     ((2.5,), "num_nodes 2.5"), (("3",), "num_nodes '3'"), ((True,), "num_nodes True")],
+)
+def test_graph_refuses_non_integers(args, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer$"):
+        Graph(*args)
+
+
+def test_graph_accepts_numpy_integers_as_ints():
+    g = Graph(np.int64(3), ((np.int64(2), np.int32(0)),))
+    assert g == Graph(3, ((0, 2),))
+    assert type(g.num_nodes) is int and all(type(x) is int for x in g.edges[0])
+
+
 def test_edge_list_roundtrip():
     g = cycle_graph(5)
     assert parse_edge_list(to_edge_list(g)) == g

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pinnet import (
     CombinatorialGuardError,
+    Graph,
     PinnetError,
     SelectionResult,
     ValidationError,
@@ -33,8 +34,9 @@ def reference_greedy(g, sigma, kappa, budget):
     wins, in index order. greedy_select must match it bit for bit."""
     if not 0 <= budget <= g.num_nodes:
         raise ValidationError(f"budget {budget} must be between 0 and {g.num_nodes}")
+    if budget == 0:
+        return SelectionResult((), evaluate_pinning(g, sigma, kappa, ()), "greedy", 0)
     chosen = []
-    objective = evaluate_pinning(g, sigma, kappa, ())
     evaluations = 0
     for _ in range(budget):
         best_val, best_node = -math.inf, -1
@@ -46,12 +48,12 @@ def reference_greedy(g, sigma, kappa, budget):
             if val > best_val:
                 best_val, best_node = val, cand
         chosen.append(best_node)
-        objective = best_val
-    return SelectionResult(tuple(chosen), float(objective), "greedy", evaluations)
+    return SelectionResult(tuple(chosen), float(best_val), "greedy", evaluations)
 
 
 def outcome(select, *args):
-    """The result, or the error's type and message (edgeless graphs raise)."""
+    """The result, or the error's type and message (an edgeless graph raises
+    at budget 0, and at every budget when kappa is within the rank tolerance)."""
     try:
         return select(*args)
     except PinnetError as exc:
@@ -131,6 +133,27 @@ def test_budget_validation():
         greedy_select(path_graph(3), 1.0, 1.0, 4)
     with pytest.raises(ValidationError):
         exhaustive_select(path_graph(3), 1.0, 1.0, -1)
+
+
+@pytest.mark.parametrize("g, budget", [(Graph(3), 3), (Graph(3), 1), (Graph(1), 1)])
+def test_greedy_answers_on_edgeless_and_one_node_graphs(g, budget):
+    # the empty pin set has no nonzero eigenvalue here, but no pick depends on it
+    greedy = greedy_select(g, 1.0, 2.0, budget)
+    best = exhaustive_select(g, 1.0, 2.0, budget)
+    assert (greedy.pinned, greedy.objective) == (best.pinned, best.objective)
+    assert greedy.objective == 2.0
+
+
+@pytest.mark.parametrize("select", [greedy_select, degree_select, exhaustive_select])
+@pytest.mark.parametrize("budget", [True, 1.0, 2.5, "2"])
+def test_budget_must_be_an_integer(select, budget):
+    with pytest.raises(ValidationError, match="^budget .* must be an integer$"):
+        select(complete_graph(4), 1.0, 3.0, budget)
+
+
+def test_numpy_integer_budget_accepted():
+    g = star_graph(5)
+    assert greedy_select(g, 1.0, 3.0, np.int64(2)) == greedy_select(g, 1.0, 3.0, 2)
 
 
 def test_greedy_never_beats_exhaustive():
