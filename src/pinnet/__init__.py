@@ -86,6 +86,7 @@ from .spectral import (
     as_sym_matrix,
     default_rank_tol,
     eig_sym,
+    eig_values,
     lambda_max,
     lambda_min,
     lambda_min_gt0,

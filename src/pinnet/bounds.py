@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, NotPSDError, PreconditionError, ValidationError
-from .spectral import SymMatrix, default_rank_tol, eig_sym
+from .spectral import SymMatrix, default_rank_tol, eig_sym, eig_values
 
 GAP_TOL = 1e-12
 
@@ -107,10 +107,10 @@ def lili_term(gap: float, weight_sq: float) -> float:
 
 def lili_upper_max(arr: ArrowMatrix) -> BoundReport:
     """Upper bound on lambda_1: max(c, lambda_1(M)) plus the Li-Li term in ||a||."""
-    lam1 = eig_sym(arr.m).eigenvalues[0]
+    lam1 = eig_values(arr.m)[0]
     eta1 = abs(arr.c - lam1)
     bound = max(arr.c, lam1) + lili_term(eta1, float(arr.a @ arr.a))
-    exact = eig_sym(arr.materialize()).eigenvalues[0]
+    exact = eig_values(arr.materialize())[0]
     return BoundReport(BoundKind.LILI_UPPER_MAX, float(bound), float(exact))
 
 
@@ -121,13 +121,13 @@ def lili_lower_max(arr: ArrowMatrix) -> BoundReport:
     eta1 = abs(arr.c - lam1)
     overlap_sq = float(arr.a @ spec.eigenvectors[:, 0]) ** 2
     bound = max(arr.c, lam1) + lili_term(eta1, overlap_sq)
-    exact = eig_sym(arr.materialize()).eigenvalues[0]
+    exact = eig_values(arr.materialize())[0]
     return BoundReport(BoundKind.LILI_LOWER_MAX, float(bound), float(exact))
 
 
 def _rank_checked(arr: ArrowMatrix) -> tuple[np.ndarray, int]:
     """Eigenvalues of M and its numerical rank r >= 1 (M must be PSD)."""
-    w = eig_sym(arr.m).eigenvalues
+    w = eig_values(arr.m)
     tol = default_rank_tol(w[0])
     if w[-1] < -tol:
         raise NotPSDError(
@@ -163,7 +163,7 @@ def arrow_lower(kind: BoundKind, c: float, lam_r: float, a_sq: float) -> float:
 def _lower_report(kind: BoundKind, arr: ArrowMatrix) -> BoundReport:
     w, r = _rank_checked(arr)
     bound = arrow_lower(kind, arr.c, w[r - 1], float(arr.a @ arr.a))
-    exact = eig_sym(arr.materialize()).eigenvalues[r]
+    exact = eig_values(arr.materialize())[r]
     return BoundReport(kind, float(bound), float(exact))
 
 

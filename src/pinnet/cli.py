@@ -23,7 +23,7 @@ from .bounds import BoundKind, arrow_lower
 from .errors import (DegenerateGapError, DivergenceError, PinnetError, PreconditionError,
                      ValidationError)
 from .graphs import Graph, _int_text, degrees, is_connected, laplacian, parse_edge_list
-from .spectral import SymMatrix, eig_sym, lambda_min_gt0, lambda_min_gt0_sorted
+from .spectral import SymMatrix, eig_values, lambda_min_gt0, lambda_min_gt0_sorted
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -97,6 +97,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _string(value) -> str:
+    """A JSON string; null, booleans and numbers are refused."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _array(value) -> np.ndarray:
     """A number or nested lists of numbers as a float array; booleans,
     strings and ragged lists are refused."""
@@ -114,7 +121,7 @@ def _matrix_from(cfg: dict, key: str, n: int) -> np.ndarray:
 
 
 def _dynamics_from(cfg: dict) -> dynamics.NodeDynamics:
-    kind = _field(cfg, "dynamics.kind", str)
+    kind = _field(cfg, "dynamics.kind", _string)
     if kind == "linear":
         return dynamics.LinearDynamics(_field(cfg, "dynamics.matrix", _array))
     if kind == "scalar_saturated":
@@ -198,7 +205,7 @@ def _pinned_spectra(args):
     g = _load_graph(args.graph)
     pinned = _parse_pinned(args.pinned)
     op = criteria.pinned_operator(g, args.sigma, args.kappa, pinned)
-    return g, pinned, eig_sym(op).eigenvalues, eig_sym(laplacian(g)).eigenvalues
+    return g, pinned, eig_values(op), eig_values(laplacian(g))
 
 
 def cmd_spectrum(args) -> int:

@@ -63,7 +63,7 @@ from .graphs import Graph, _index, connected_components, degrees, laplacian
 from .spectral import (
     SymMatrix,
     as_sym_matrix,
-    eig_sym,
+    eig_values,
     lambda_min,
     lambda_min_gt0,
     lambda_min_gt0_sorted,
@@ -135,7 +135,7 @@ class PinnedSystemSpec:
         k.setflags(write=False)
         object.__setattr__(self, "b_matrix", b)
         object.__setattr__(self, "k_matrix", k)
-        w = eig_sym(q).eigenvalues
+        w = eig_values(q)
         if w[-1] <= Q_PD_RTOL * max(w[0], 0.0):
             raise ValidationError(
                 f"Q must be positive definite: lambda_min = {w[-1]:.3e}"
@@ -360,7 +360,7 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
 
     def exact_pair():
         rhs_threshold(spec)  # a degenerate QB is the exact step's reason too
-        w = eig_sym(pinned_operator(spec.graph, spec.sigma, spec.kappa, spec.pinned)).eigenvalues
+        w = eig_values(pinned_operator(spec.graph, spec.sigma, spec.kappa, spec.pinned))
         return lambda_min_gt0_sorted(w), float(w[-1])
 
     s = attempt("sigma_lambda", lambda: sigma_lambda_min_gt0(spec))

@@ -49,8 +49,8 @@ class NumericalError(PinnetError):
     """An eigensolver or downstream numerical routine failed to converge."""
 
 
-class NoNonzeroEigenvalueError(NumericalError):
-    """All eigenvalues fall below the rank tolerance (zero matrix)."""
+class NoNonzeroEigenvalueError(PreconditionError):
+    """All eigenvalues fall below the rank tolerance, so lambda_min>0 is undefined."""
 
 
 class NotPSDError(PreconditionError):

@@ -1,9 +1,13 @@
-"""Dense symmetric eigendecomposition with a deterministic output contract.
+"""Dense symmetric eigensolves with a deterministic output contract.
 
-The solver is LAPACK's symmetric eigensolver via numpy, wrapped so that the
-output is reproducible for identical input bytes: eigenvalues sorted in
-descending order. Eigenvectors are LAPACK's, each fixed only up to sign;
-every consumer squares their entries or an overlap with them.
+Both solves are LAPACK's via numpy and return eigenvalues in descending
+order, reproducibly for identical input bytes. eig_values (eigvalsh) serves
+every quantity that reads no eigenvector; its O(N^2) guard is the trace and
+Frobenius identities. eig_sym (eigh) also returns eigenvectors, each fixed
+only up to sign (every consumer squares their entries or an overlap with
+them), guarded by the O(N^3) residual; only selection and lili_lower_max
+read them. The two may differ in an eigenvalue's last bits, so each quantity
+is always read from the same solve.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ RANK_TOL_FLOOR = 1e-12
 
 
 class SymMatrix:
-    """Dense real symmetric matrix, symmetrized as (M + M^T)/2 on construction.
+    """Dense real symmetric matrix with finite entries; read-only.
 
-    Construction fails if the asymmetry exceeds 1e-12 * (1 + max |entry|).
-    The stored array is read-only.
+    Exactly symmetric input is stored as is. Other input is symmetrized as
+    M/2 + M^T/2 (which cannot overflow) and fails if its asymmetry exceeds
+    1e-12 * (1 + max |entry|).
     """
 
     __slots__ = ("array",)
@@ -37,16 +42,17 @@ class SymMatrix:
             raise ValidationError("matrix must be nonempty")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("matrix entries must be finite")
-        scale = 1.0 + np.abs(arr).max()
-        asym = np.abs(arr - arr.T).max()
-        if asym > SYMMETRY_RTOL * scale:
-            raise ValidationError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {SYMMETRY_RTOL * scale:.3e}"
-            )
-        sym = (arr + arr.T) / 2.0
-        sym.setflags(write=False)
-        self.array = sym
+        if not np.array_equal(arr, arr.T):
+            scale = 1.0 + np.abs(arr).max()
+            asym = np.abs(arr - arr.T).max()
+            if asym > SYMMETRY_RTOL * scale:
+                raise ValidationError(
+                    f"matrix is not symmetric: max asymmetry {asym:.3e} "
+                    f"exceeds {SYMMETRY_RTOL * scale:.3e}"
+                )
+            arr = 0.5 * arr + 0.5 * arr.T
+        arr.setflags(write=False)
+        self.array = arr
 
     @property
     def dim(self) -> int:
@@ -77,6 +83,12 @@ class Spectrum:
         self.eigenvectors.setflags(write=False)
 
 
+def _solve(solver, sym: SymMatrix):
+    try:
+        return solver(sym.array)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+
 
 def eig_sym(m) -> Spectrum:
     """Full spectrum of a symmetric matrix, eigenvalues descending and
@@ -86,10 +98,7 @@ def eig_sym(m) -> Spectrum:
     residual check ||M v - lambda v|| <= 1e-9 (1 + |lambda_1|) fails.
     """
     sym = as_sym_matrix(m)
-    try:
-        w, v = np.linalg.eigh(sym.array)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    w, v = _solve(np.linalg.eigh, sym)
     # descending order
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -103,6 +112,24 @@ def eig_sym(m) -> Spectrum:
     return Spectrum(w, v)
 
 
+def eig_values(m) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
+
+    Raises NumericalError if the solver fails to converge, or if sum(lambda)
+    misses tr M or sum(lambda^2) misses ||M||_F^2 by more than 1e-9, all
+    divided by the scale 1 + max |lambda| (so nothing overflows).
+    """
+    sym = as_sym_matrix(m)
+    w = _solve(np.linalg.eigvalsh, sym)[::-1].copy()
+    scale = 1.0 + np.abs(w).max()
+    a, t = sym.array / scale, w / scale
+    error = max(abs(t.sum() - np.trace(a)), abs(t @ t - np.vdot(a, a)))
+    if not error <= RESIDUAL_RTOL:
+        raise NumericalError(f"eigenvalues miss the trace or Frobenius identity by "
+                             f"{error:.3e} of the spectral scale, above {RESIDUAL_RTOL:.0e}")
+    return w
+
+
 def default_rank_tol(lam_max: float) -> float:
     """Relative rank cutoff 1e-9 * max(1, lambda_max), floored at 1e-12."""
     return max(RANK_RTOL * max(1.0, abs(lam_max)), RANK_TOL_FLOOR)
@@ -110,7 +137,7 @@ def default_rank_tol(lam_max: float) -> float:
 
 def lambda_min_gt0(m) -> float:
     """Smallest eigenvalue strictly above the rank tolerance of a PSD matrix."""
-    return lambda_min_gt0_sorted(eig_sym(m).eigenvalues)
+    return lambda_min_gt0_sorted(eig_values(m))
 
 
 def lambda_min_gt0_sorted(w: np.ndarray) -> float:
@@ -135,11 +162,11 @@ def lambda_min_gt0_sorted(w: np.ndarray) -> float:
 
 
 def lambda_min(m) -> float:
-    return float(eig_sym(m).eigenvalues[-1])
+    return float(eig_values(m)[-1])
 
 
 def lambda_max(m) -> float:
-    return float(eig_sym(m).eigenvalues[0])
+    return float(eig_values(m)[0])
 
 
 def spectral_norm(a) -> float:
@@ -148,5 +175,5 @@ def spectral_norm(a) -> float:
     if arr.size == 0:
         raise ValidationError("spectral_norm requires a nonempty matrix")
     gram = arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr
-    top = eig_sym(SymMatrix(gram)).eigenvalues[0]
+    top = eig_values(SymMatrix(gram))[0]
     return float(np.sqrt(max(top, 0.0)))

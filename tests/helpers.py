@@ -43,3 +43,34 @@ def scalar_spec(graph, sigma, kappa, pinned, f_bound) -> PinnedSystemSpec:
         pinned=tuple(pinned),
         f_bound=f_bound,
     )
+
+
+def no_convergence(*args, **kwargs):
+    """Stands in for an eigensolver that fails to converge."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def break_eigh(monkeypatch):
+    """np.linalg.eigh returns its first eigenvector off by 1e-6 per entry."""
+    eigh = np.linalg.eigh
+
+    def bad_vector(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        v = v.copy()
+        v[:, 0] += 1e-6
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", bad_vector)
+
+
+def break_eigvalsh(monkeypatch):
+    """np.linalg.eigvalsh returns its smallest eigenvalue shifted by
+    1e-6 (1 + |lambda_max|)."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def shifted(a, *args, **kwargs):
+        w = eigvalsh(a, *args, **kwargs).copy()
+        w[0] += 1e-6 * (1.0 + np.abs(w).max())
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)

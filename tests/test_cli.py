@@ -23,7 +23,7 @@ from pinnet import (
 )
 from pinnet.cli import main
 
-from helpers import scalar_spec
+from helpers import break_eigh, break_eigvalsh, no_convergence, scalar_spec
 
 
 @pytest.fixture
@@ -470,6 +470,19 @@ def test_config_error_names_the_full_path(tmp_path, graph_file, capsys, field):
     assert capsys.readouterr().err == f"error: config field {shown!r} missing or malformed\n"
 
 
+@pytest.mark.parametrize("kind", [None, True, 3])
+def test_dynamics_kind_must_be_a_string(tmp_path, graph_file, capsys, kind):
+    # str() would read each as a name: "unknown dynamics kind 'None'"
+    doc = json.loads(Path(certified_k3_config(tmp_path, graph_file, sim=STRICT_SIM)).read_text())
+    doc["dynamics"]["kind"] = kind
+    cfg = write_config(tmp_path, doc, "kind.json")
+    for command in ("kappa", "simulate"):
+        assert main([command, cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config field 'dynamics.kind' missing or malformed\n"
+
+
 @pytest.mark.parametrize("sim", [None, [], "sim", {"t0": 0.0}])
 def test_missing_or_malformed_sim_block_names_sim_x0(tmp_path, graph_file, capsys, sim):
     doc = json.loads(Path(certified_k3_config(tmp_path, graph_file)).read_text())
@@ -544,20 +557,54 @@ def test_main_reuses_one_parser(graph_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "nodes, argv, code",
-    [(3, ["select", "--kappa", "2", "--budget", "1"], 0),
-     (3, ["spectrum", "--pinned", "9"], 2),
-     (30, ["select", "--kappa", "2", "--budget", "15", "--method", "exhaustive"], 3),
-     (3, ["spectrum"], 4)],
-    ids=["ok", "validation", "precondition", "numerical"],
+    "nodes, argv, code, broken_solver",
+    [(3, ["select", "--kappa", "2", "--budget", "1"], 0, False),
+     (3, ["spectrum", "--pinned", "9"], 2, False),
+     (30, ["select", "--kappa", "2", "--budget", "15", "--method", "exhaustive"], 3, False),
+     (3, ["spectrum"], 3, False),
+     (3, ["bounds", "--kappa", "2", "--pinned", "0"], 3, False),
+     (3, ["select", "--kappa", "2", "--budget", "0"], 3, False),
+     (3, ["spectrum", "--kappa", "2", "--pinned", "0"], 4, True)],
+    ids=["ok", "validation", "precondition", "edgeless", "edgeless_bounds", "edgeless_budget_0",
+         "numerical"],
 )
-def test_exit_code_follows_the_error_class(tmp_path, capsys, nodes, argv, code):
-    # edgeless graphs: L has no nonzero eigenvalue, a NumericalError
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, nodes, argv, code,
+                                           broken_solver):
+    # edgeless graphs: L has no nonzero eigenvalue, so lambda_min>0 is undefined
+    if broken_solver:
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     path = tmp_path / "edgeless.txt"
     path.write_text(f"N {nodes}\n")
     assert main([argv[0], str(path), *argv[1:]]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") if code else err == ""
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") if code else captured.err == ""
+    if code:
+        assert captured.out == ""
+
+
+def test_failed_values_only_guard_exits_4(tmp_path, graph_file, capsys, monkeypatch):
+    cfg = certified_k3_config(tmp_path, graph_file)
+    path = graph_file(path_graph(5), "p5.txt")
+    break_eigvalsh(monkeypatch)
+    for argv in (["kappa", cfg, "--json"], ["spectrum", path, "--kappa", "2", "--pinned", "0"]):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eigenvalues miss the trace or Frobenius identity")
+
+
+def test_failed_residual_guard_exits_4_where_eigenvectors_are_read(tmp_path, graph_file, capsys,
+                                                                 monkeypatch):
+    cfg = certified_k3_config(tmp_path, graph_file)
+    path = graph_file(path_graph(5), "p5.txt")
+    break_eigh(monkeypatch)
+    assert main(["select", path, "--kappa", "2", "--budget", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eigendecomposition residual")
+    # kappa and spectrum read eigenvalues only, so they never call eigh
+    assert main(["kappa", cfg, "--json"]) == 0
+    assert main(["spectrum", path, "--kappa", "2", "--pinned", "0", "--full", "--json"]) == 0
 
 
 @pytest.mark.parametrize("pinned", ["1_0", "\u0661", "+1", "\uff11"])

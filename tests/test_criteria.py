@@ -143,10 +143,17 @@ def test_iterative_bound_empty_pinned():
 
 
 def test_iterative_bound_pole():
-    with pytest.raises(PreconditionError):
-        iterative_bound(scalar_spec(path_graph(3), 1.0, 1.0, (1,), 0.0))
-    with pytest.raises(PreconditionError):
-        iterative_bound(scalar_spec(path_graph(3), 1.0, 0.5, (1,), 0.0))
+    # P3 has lambda_min>0(L) = 1, which the solver returns as 1 - 2^-52; the
+    # pole is at the computed s, whatever its last bit
+    def bound(kappa):
+        return iterative_bound(scalar_spec(path_graph(3), 1.0, kappa, (1,), 0.0))
+
+    s = sigma_lambda_min_gt0(scalar_spec(path_graph(3), 1.0, 1.0, (1,), 0.0))
+    assert s == pytest.approx(1.0, rel=1e-12)
+    for kappa in (s, np.nextafter(s, 0.0), 0.5):
+        with pytest.raises(PreconditionError):
+            bound(kappa)
+    assert math.isfinite(bound(np.nextafter(s, 2.0)))
 
 
 def test_iterative_bound_large_kappa_asymptote():
@@ -210,11 +217,11 @@ def test_kappa_threshold_is_sufficient_not_smallest():
     assert rep.iterative_bound == pytest.approx(0.5284, abs=1e-4)
     assert rep.iterative_bound >= rep.rhs_threshold
     assert rep.verdict_exact
-    assert rep.kappa_threshold == pytest.approx(45.0, rel=1e-12)
-    assert rep.kappa_threshold > 45.0
+    kthr = rep.kappa_threshold
+    assert kthr == pytest.approx(45.0, rel=1e-12)
     assert not rep.verdict_theorem
-    assert not evaluate(kn_spec(5, 1.0, 45.0, (0,), 0.5)).verdict_theorem
-    assert evaluate(kn_spec(5, 1.0, rep.kappa_threshold, (0,), 0.5)).verdict_theorem
+    assert not evaluate(kn_spec(5, 1.0, np.nextafter(kthr, 0.0), (0,), 0.5)).verdict_theorem
+    assert evaluate(kn_spec(5, 1.0, kthr, (0,), 0.5)).verdict_theorem
 
 
 @settings(max_examples=60, deadline=None)

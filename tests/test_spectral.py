@@ -4,19 +4,29 @@ import pytest
 from pinnet import (
     NoNonzeroEigenvalueError,
     NotPSDError,
+    NumericalError,
+    PreconditionError,
     SymMatrix,
     ValidationError,
     complete_graph,
+    cycle_graph,
     disjoint_union,
     eig_sym,
+    eig_values,
+    erdos_renyi,
+    evaluate_pinning,
+    greedy_select,
     lambda_max,
     lambda_min,
     lambda_min_gt0,
     laplacian,
     path_graph,
+    pinned_operator,
     spectral_norm,
 )
 from pinnet.spectral import default_rank_tol
+
+from helpers import break_eigh, break_eigvalsh, no_convergence, scalar_spec
 
 
 def charpoly_roots_3x3(m):
@@ -97,6 +107,80 @@ def test_symmetrize_and_reject():
         SymMatrix(np.zeros((2, 3)))
 
 
+def test_exactly_symmetric_input_is_stored_as_is():
+    m = np.random.default_rng(2).standard_normal((6, 6))
+    m = m + m.T
+    stored = SymMatrix(m).array
+    assert stored.tobytes() == m.tobytes() == ((m + m.T) / 2).tobytes()
+    assert not stored.flags.writeable
+    with pytest.raises(ValidationError):
+        SymMatrix([[1.0, np.inf], [np.inf, 1.0]])
+
+
+def test_symmetrize_near_overflow_stays_finite():
+    # (M + M^T) / 2 overflows to inf above about 9e307
+    exact = SymMatrix([[1e308, 0.0], [0.0, 1.0]])
+    assert exact.array[0, 0] == 1e308
+    assert eig_sym(exact).eigenvalues.tolist() == [1e308, 1.0]
+    assert eig_values(exact).tolist() == [1e308, 1.0]
+    near = SymMatrix([[1.7e308, 1.7e308], [1.7e308 * (1 + 1e-14), 1.0]])
+    assert np.isfinite(near.array).all()
+    assert near.array[0, 1] == near.array[1, 0] == 0.5 * 1.7e308 + 0.5 * 1.7e308 * (1 + 1e-14)
+
+
+def test_eig_values_match_the_vector_solve():
+    rng = np.random.default_rng(13)
+    for d in [1, 2, 9, 60, 200]:
+        m = rng.standard_normal((d, d))
+        w = eig_values(SymMatrix(m + m.T))
+        assert np.all(np.diff(w) <= 0)
+        full = eig_sym(SymMatrix(m + m.T)).eigenvalues
+        assert np.abs(w - full).max() <= 1e-12 * (1.0 + np.abs(full).max())
+
+
+@pytest.mark.parametrize("solve", [eig_values, lambda_min_gt0, lambda_min, lambda_max])
+def test_values_only_guard_catches_a_shifted_eigenvalue(monkeypatch, solve):
+    op = pinned_operator(path_graph(5), 1.0, 2.0, (0,))
+    break_eigvalsh(monkeypatch)
+    with pytest.raises(NumericalError, match="trace or Frobenius"):
+        solve(op)
+
+
+def test_values_only_guard_reaches_every_eigenvalue_quantity(monkeypatch):
+    picked = greedy_select(cycle_graph(6), 1.0, 3.0, 2)
+    break_eigvalsh(monkeypatch)
+    with pytest.raises(NumericalError):
+        spectral_norm([[3.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(NumericalError):
+        scalar_spec(path_graph(3), 1.0, 2.0, (0,), 0.1)  # Q's definiteness check
+    # the vector solve has its own guard, so selection is unaffected
+    assert greedy_select(cycle_graph(6), 1.0, 3.0, 2) == picked
+
+
+def test_residual_guard_catches_a_bad_eigenvector(monkeypatch):
+    g = erdos_renyi(12, 0.4, seed=1)
+    op = pinned_operator(g, 1.0, 3.0, (0, 5))
+    expected = eig_values(op)
+    break_eigh(monkeypatch)
+    with pytest.raises(NumericalError, match="residual"):
+        eig_sym(op)
+    with pytest.raises(NumericalError):
+        evaluate_pinning(g, 1.0, 3.0, (0, 5))
+    with pytest.raises(NumericalError):
+        greedy_select(g, 1.0, 3.0, 2)
+    # quantities that read no eigenvector never reach eigh
+    assert eig_values(op).tolist() == expected.tolist()
+
+
+def test_solver_failure_is_a_numerical_error(monkeypatch):
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_convergence)
+    with pytest.raises(NumericalError, match="did not converge"):
+        eig_values(np.eye(2))
+    with pytest.raises(NumericalError, match="did not converge"):
+        eig_sym(np.eye(2))
+
+
 def test_lambda_min_gt0_complete_graph():
     for n in [4, 7]:
         assert lambda_min_gt0(laplacian(complete_graph(n))) == pytest.approx(n, rel=1e-12)
@@ -107,8 +191,11 @@ def test_lambda_min_gt0_path3():
 
 
 def test_lambda_min_gt0_zero_matrix():
-    with pytest.raises(NoNonzeroEigenvalueError):
+    # an undefined lambda_min>0 is a precondition outcome, not a solver failure
+    with pytest.raises(NoNonzeroEigenvalueError) as exc:
         lambda_min_gt0(SymMatrix(np.zeros((3, 3))))
+    assert isinstance(exc.value, PreconditionError)
+    assert not isinstance(exc.value, NumericalError)
 
 
 def test_lambda_min_gt0_not_psd():
