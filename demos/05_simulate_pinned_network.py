@@ -70,14 +70,14 @@ config2 = pn.SimConfig(
     t_end=60.0,
     dt=1e-2,
 )
-try:
-    traj2 = pn.simulate(config2)
+traj2 = pn.simulate(config2)
+if traj2.diverged_at is None:
     decay2 = pn.check_decay(traj2)
     print(f"  decayed: {decay2.ok}, final error {traj2.final_error_norm():.3e}, "
           f"violations: {len(decay2.violations)}")
-except pn.DivergenceError as exc:
-    print(f"  diverged at t = {exc.time:.2f} (overflow guard); "
-          f"last finite sample index {exc.last_finite_index}")
+else:
+    print(f"  diverged at t = {traj2.diverged_at:.2f} (overflow guard); "
+          f"last finite sample index {traj2.steps}")
 
 print()
 print("trajectory CSV export writes t,node,component,x,e,V rows for plotting;")

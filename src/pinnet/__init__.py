@@ -43,7 +43,6 @@ from .dynamics import (
 from .errors import (
     CombinatorialGuardError,
     DegenerateGapError,
-    DivergenceError,
     GraphParseError,
     NoNonzeroEigenvalueError,
     NotPSDError,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGapError, NotPSDError, PreconditionError, ValidationError
-from .spectral import SymMatrix, default_rank_tol, eig_sym, eig_values
+from .errors import DegenerateGapError, ValidationError
+from .spectral import SymMatrix, _numerical_rank, eig_sym, eig_values
 
 GAP_TOL = 1e-12
 
@@ -125,20 +125,6 @@ def lili_lower_max(arr: ArrowMatrix) -> BoundReport:
     return BoundReport(BoundKind.LILI_LOWER_MAX, float(bound), float(exact))
 
 
-def _rank_checked(arr: ArrowMatrix) -> tuple[np.ndarray, int]:
-    """Eigenvalues of M and its numerical rank r >= 1 (M must be PSD)."""
-    w = eig_values(arr.m)
-    tol = default_rank_tol(w[0])
-    if w[-1] < -tol:
-        raise NotPSDError(
-            f"principal block is not PSD: lambda_min = {w[-1]:.3e} < -{tol:.3e}"
-        )
-    r = int((w > tol).sum())
-    if r < 1:
-        raise PreconditionError("principal block has numerical rank 0")
-    return w, r
-
-
 def arrow_lower(kind: BoundKind, c: float, lam_r: float, a_sq: float) -> float:
     """Lower bound on lambda_{r+1}: min(c, lambda_r(M)) minus the border term of kind.
 
@@ -161,7 +147,8 @@ def arrow_lower(kind: BoundKind, c: float, lam_r: float, a_sq: float) -> float:
 
 
 def _lower_report(kind: BoundKind, arr: ArrowMatrix) -> BoundReport:
-    w, r = _rank_checked(arr)
+    w = eig_values(arr.m)
+    r = _numerical_rank(w)
     bound = arrow_lower(kind, arr.c, w[r - 1], float(arr.a @ arr.a))
     exact = eig_values(arr.materialize())[r]
     return BoundReport(kind, float(bound), float(exact))

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import criteria, dynamics, selection
 from .bounds import BoundKind, arrow_lower
-from .errors import (DegenerateGapError, DivergenceError, PinnetError, PreconditionError,
-                     ValidationError)
+from .errors import DegenerateGapError, PinnetError, PreconditionError, ValidationError
 from .graphs import Graph, _int_text, degrees, is_connected, laplacian, parse_edge_list
 from .spectral import SymMatrix, eig_values, lambda_min_gt0, lambda_min_gt0_sorted
 
@@ -364,10 +363,7 @@ def cmd_simulate(args) -> int:
     spec, dyn, cfg = load_analysis_config(args.config)
     config = _sim_config_from(cfg, spec, dyn)
     report = criteria.evaluate(spec)
-    try:
-        traj = dynamics.simulate(config)
-    except DivergenceError as exc:
-        traj = exc.trajectory
+    traj = dynamics.simulate(config)
     if args.out:
         dynamics.write_trajectory_csv(traj, args.out)
     summary = {

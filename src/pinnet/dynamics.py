@@ -27,9 +27,9 @@ from itertools import repeat
 import numpy as np
 
 from .criteria import PinnedSystemSpec
-from .errors import DivergenceError, ValidationError
+from .errors import ValidationError
 from .graphs import laplacian
-from .spectral import spectral_norm
+from .spectral import _pow2_scaled, spectral_norm
 
 OVERFLOW_GUARD = 1e12
 HORIZON_RTOL = 1e-9
@@ -137,8 +137,9 @@ class SimConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled run: states x_i(t), reference s(t), errors e_i = s - x_i,
-    and Lyapunov values V(t) = sum_i e_i^T Q e_i. diverged_at is the time
-    of the step that overflowed when the run stopped early, else None."""
+    and Lyapunov values V(t) = sum_i e_i^T Q e_i. A run that tripped the
+    overflow guard is returned, not raised: it holds the finite samples and
+    diverged_at is the time of the step that overflowed, else None."""
 
     times: np.ndarray
     states: np.ndarray
@@ -152,7 +153,8 @@ class Trajectory:
         return self.times.shape[0] - 1
 
     def final_error_norm(self) -> float:
-        return float(np.linalg.norm(self.errors[-1]))
+        scaled, exp = _pow2_scaled(self.errors[-1])
+        return float(np.ldexp(np.linalg.norm(scaled), exp))
 
 
 def _derivative(config: SimConfig):
@@ -182,10 +184,10 @@ def _derivative(config: SimConfig):
 def simulate(config: SimConfig) -> Trajectory:
     """Integrate with classical RK4 at fixed step dt, sampling every step.
 
-    Trajectory.states and .reference are views of the stacked samples.
-    Raises DivergenceError as soon as any state magnitude exceeds 1e12 or
-    becomes non-finite; its trajectory holds the finite samples and sets
-    diverged_at.
+    Trajectory.states and .reference are views of the stacked samples. A
+    step that makes any state magnitude exceed 1e12 or become non-finite
+    ends the run: the trajectory returned holds the finite samples before it
+    and sets diverged_at to that step's time. Nothing is raised.
     """
     n_steps = int(round((config.t_end - config.t0) / config.dt))
     dt = config.dt
@@ -203,13 +205,7 @@ def simulate(config: SimConfig) -> Trajectory:
         k4 = deriv(z + dt * k3)
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(z)) or np.abs(z).max() > OVERFLOW_GUARD:
-            t = float(times[k + 1])
-            raise DivergenceError(
-                f"state overflow at t = {t:.6g} (step {k + 1})",
-                time=t,
-                last_finite_index=k,
-                trajectory=_finalize(config.system, times[: k + 1], samples[: k + 1], t),
-            )
+            return _finalize(config.system, times[: k + 1], samples[: k + 1], float(times[k + 1]))
         samples[k + 1] = z
 
     return _finalize(config.system, times, samples)

@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
 The CLI maps these onto exit codes: validation problems exit 2,
-undefined-precondition outcomes exit 3, numerical failures exit 4.
+undefined-precondition outcomes exit 3, numerical failures exit 4. A
+simulation that trips the overflow guard is not an error: simulate returns
+its partial trajectory with diverged_at set.
 """
 
 
@@ -56,12 +58,3 @@ class NoNonzeroEigenvalueError(PreconditionError):
 class NotPSDError(PreconditionError):
     """Matrix has an eigenvalue below -rank_tol where PSD was required."""
 
-
-class DivergenceError(PinnetError):
-    """Simulated state exceeded the overflow guard; carries the last finite sample."""
-
-    def __init__(self, message: str, time: float, last_finite_index: int, trajectory=None):
-        super().__init__(message)
-        self.time = time
-        self.last_finite_index = last_finite_index
-        self.trajectory = trajectory

@@ -130,6 +130,14 @@ def eig_values(m) -> np.ndarray:
     return w
 
 
+def _pow2_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """arr divided by the power of two 2^exp just above its largest magnitude,
+    and exp. The division is exact, and squares of the scaled entries cannot
+    overflow; multiply a norm of the result by 2^exp to undo it."""
+    _, exp = np.frexp(np.abs(arr).max())
+    return np.ldexp(arr, -exp), int(exp)
+
+
 def default_rank_tol(lam_max: float) -> float:
     """Relative rank cutoff 1e-9 * max(1, lambda_max), floored at 1e-12."""
     return max(RANK_RTOL * max(1.0, abs(lam_max)), RANK_TOL_FLOOR)
@@ -141,11 +149,16 @@ def lambda_min_gt0(m) -> float:
 
 
 def lambda_min_gt0_sorted(w: np.ndarray) -> float:
-    """lambda_min_gt0 read from eigenvalues already sorted descending.
+    """lambda_min_gt0 read from eigenvalues already sorted descending; raises
+    as _numerical_rank does."""
+    return float(w[_numerical_rank(w) - 1])
 
-    The rank tolerance is default_rank_tol(lambda_max). Raises NotPSDError if
-    an eigenvalue falls below -rank_tol and NoNonzeroEigenvalueError if every
-    eigenvalue is within the tolerance.
+
+def _numerical_rank(w: np.ndarray) -> int:
+    """Rank r >= 1 of a PSD matrix from its eigenvalues sorted descending: the
+    count above the rank tolerance default_rank_tol(lambda_max). Raises
+    NotPSDError if an eigenvalue falls below -rank_tol and
+    NoNonzeroEigenvalueError if every eigenvalue is within the tolerance.
     """
     rank_tol = default_rank_tol(w[0])
     if w[-1] < -rank_tol:
@@ -153,12 +166,12 @@ def lambda_min_gt0_sorted(w: np.ndarray) -> float:
             f"matrix is not PSD within tolerance: lambda_min = {w[-1]:.3e} "
             f"< -{rank_tol:.3e}"
         )
-    positive = w[w > rank_tol]
-    if positive.size == 0:
+    r = int((w > rank_tol).sum())
+    if r == 0:
         raise NoNonzeroEigenvalueError(
             f"no eigenvalue above rank tolerance {rank_tol:.3e}"
         )
-    return float(positive[-1])
+    return r
 
 
 def lambda_min(m) -> float:
@@ -170,10 +183,12 @@ def lambda_max(m) -> float:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value, computed as sqrt(lambda_max) of the smaller Gram."""
+    """Largest singular value, computed as sqrt(lambda_max) of the smaller Gram
+    of the input scaled by a power of two, so finite entries never overflow."""
     arr = np.atleast_2d(np.asarray(a, dtype=float))
     if arr.size == 0:
         raise ValidationError("spectral_norm requires a nonempty matrix")
+    arr, exp = _pow2_scaled(arr)
     gram = arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr
     top = eig_values(SymMatrix(gram))[0]
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.ldexp(np.sqrt(max(top, 0.0)), exp))

@@ -173,6 +173,18 @@ def test_rank_cross_check_and_psd_guard():
         smallest_nonzero_lower(ArrowMatrix(1.0, [0.0], SymMatrix([[0.0]])))
 
 
+@pytest.mark.parametrize("block", [[[-1.0]], [[0.0]], [[2.0, 0.0], [0.0, -3.0]]])
+@pytest.mark.parametrize("bound", [smallest_nonzero_lower, weyl_lower, mathias_lower])
+def test_rank_errors_match_lambda_min_gt0(bound, block):
+    m = SymMatrix(block)
+    with pytest.raises(PreconditionError) as want:
+        lambda_min_gt0(m)
+    with pytest.raises(PreconditionError) as got:
+        bound(ArrowMatrix(1.0, np.zeros(m.dim), m))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
 entries = st.floats(-5.0, 5.0)
 
 

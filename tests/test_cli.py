@@ -394,6 +394,42 @@ def test_simulate_diverged_run_not_decayed(tmp_path, graph_file, capsys):
     assert summary["decayed"] is False
 
 
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_simulate_huge_x0_prints_strict_json(tmp_path, graph_file, capsys):
+    # the only finite sample holds the error 1e200, whose square overflows a float
+    path = graph_file(path_graph(3), "p3.txt")
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": [1e200, 0.0, 0.0], "s0": [0.0]}
+    doc = config_doc(path, 1.0, 1.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
+                     sim=sim)
+    code = main(["simulate", write_config(tmp_path, doc), "--json"])
+    summary = strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert summary["final_error_norm"] == 1e200
+    assert summary["diverged"] is True and summary["decayed"] is False
+
+
+def test_kappa_huge_q_matches_unit_q(tmp_path, graph_file, capsys):
+    # the verdicts are invariant under scaling Q; ||Q|| = 1e200 must not overflow
+    path = graph_file(complete_graph(3), "k3.txt")
+    payloads = []
+    for q in (1.0, 1e200):
+        doc = config_doc(path, 1.0, 20.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
+                         q=[[q]])
+        code = main(["kappa", write_config(tmp_path, doc), "--json"])
+        payloads.append(strict_json(capsys.readouterr().out))
+        assert code == 0
+    unit, huge = payloads
+    for key in ("verdict_theorem", "verdict_exact", "structural_ok"):
+        assert huge[key] == unit[key]
+    assert huge["rhs_threshold"] == pytest.approx(unit["rhs_threshold"], rel=1e-12)
+
+
 def test_simulate_non_finite_dynamics_exits_2(tmp_path, graph_file, capsys):
     path = graph_file(complete_graph(3), "k3.txt")
     sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}

@@ -226,6 +226,11 @@ def test_spectral_norm_cases():
     assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
     assert spectral_norm([[0.0, 2.0], [0.0, 0.0]]) == pytest.approx(2.0)
     assert spectral_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
+    # the Gram of 1e200 overflows and the Gram of 1e-200 underflows to zero
+    assert spectral_norm([[1e200]]) == 1e200
+    assert spectral_norm([[1e-200]]) == 1e-200
+    assert spectral_norm(np.array([[3e200], [4e200]])) == pytest.approx(5e200, rel=1e-15)
+    assert spectral_norm(np.zeros((2, 3))) == 0.0
 
 
 def test_spectral_norm_transpose_invariant():
