@@ -45,8 +45,9 @@ tolerance (kappa = 0 is no control at all), lambda_min>0 skips the undamped
 smallest eigenvalue too, and reasons["singular_operator"] reports it.
 
 Each spectral quantity is computed once per spec: sigma lambda_min>0(L),
-lambda_min(QB + B^T Q^T) and ||Q|| are memoised on it at first read (a failure
-raises again on the next read), and evaluate solves the operator once.
+lambda_min and norm of QB + B^T Q^T, and ||Q|| are memoised on it at first
+read (a failure raises again on the next read), and evaluate solves the
+operator once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .spectral import (
     SymMatrix,
     as_sym_matrix,
     eig_values,
-    lambda_min,
     lambda_min_gt0,
     lambda_min_gt0_sorted,
     spectral_norm,
@@ -151,9 +151,11 @@ class PinnedSystemSpec:
         return self.sigma * lambda_min_gt0(laplacian(self.graph))
 
     @cached_property
-    def _qb_lambda_min(self) -> float:
+    def _qb_spectrum(self) -> tuple[float, float]:
+        """lambda_min(QB + B^T Q^T) and its spectral norm max |lambda|, one eigensolve."""
         qb = self.q_matrix.array @ self.b_matrix
-        return lambda_min(SymMatrix(qb + qb.T))
+        w = eig_values(SymMatrix(qb + qb.T))
+        return float(w[-1]), float(np.abs(w).max())
 
     @cached_property
     def _q_norm(self) -> float:
@@ -223,12 +225,14 @@ def pinned_operator(g: Graph, sigma: float, kappa: float, pinned) -> SymMatrix:
 
 
 def rhs_threshold(spec: PinnedSystemSpec) -> float:
-    """Decay threshold 2 f_bound ||Q|| / lambda_min(QB + B^T Q^T)."""
-    lam = spec._qb_lambda_min
-    if lam <= QB_DEGENERATE_TOL:
+    """Decay threshold 2 f_bound ||Q|| / lambda_min(QB + B^T Q^T). The quotient
+    is degenerate when that lambda_min is at most QB_DEGENERATE_TOL times
+    ||QB + B^T Q^T||, a test that scaling Q leaves unchanged."""
+    lam, norm = spec._qb_spectrum
+    if lam <= QB_DEGENERATE_TOL * norm:
         raise PreconditionError(
-            f"lambda_min(QB + B^T Q^T) = {lam:.3e} is not strictly positive; "
-            "the threshold quotient is degenerate"
+            f"lambda_min(QB + B^T Q^T) = {lam:.3e} is not above {QB_DEGENERATE_TOL:.0e} "
+            f"of its norm {norm:.3e}; the threshold quotient is degenerate"
         )
     return 2.0 * spec.f_bound * spec._q_norm / lam
 
@@ -337,7 +341,7 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     qb = q @ spec.b_matrix
     residual = spectral_norm(qk + qk.T - spec.kappa * (qb + qb.T))
     identity_ok = residual <= STRUCTURAL_TOL * (1.0 + spectral_norm(qk))
-    qb_lam = spec._qb_lambda_min
+    qb_lam, _ = spec._qb_spectrum
     structural_ok = bool(identity_ok and qb_lam >= -STRUCTURAL_TOL)
     reasons: dict[str, str] = {}
     flags: list[str] = []

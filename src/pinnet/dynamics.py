@@ -19,10 +19,8 @@ positive definite matrix the criteria carry.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -139,7 +137,8 @@ class Trajectory:
     """Sampled run: states x_i(t), reference s(t), errors e_i = s - x_i,
     and Lyapunov values V(t) = sum_i e_i^T Q e_i. A run that tripped the
     overflow guard is returned, not raised: it holds the finite samples and
-    diverged_at is the time of the step that overflowed, else None."""
+    diverged_at is the time of the step that overflowed, else None.
+    final_error_norm() is inf when the norm exceeds the largest float."""
 
     times: np.ndarray
     states: np.ndarray
@@ -154,7 +153,8 @@ class Trajectory:
 
     def final_error_norm(self) -> float:
         scaled, exp = _pow2_scaled(self.errors[-1])
-        return float(np.ldexp(np.linalg.norm(scaled), exp))
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.linalg.norm(scaled), exp))
 
 
 def _derivative(config: SimConfig):
@@ -203,10 +203,10 @@ def simulate(config: SimConfig) -> Trajectory:
         k2 = deriv(z + half * k1)
         k3 = deriv(z + half * k2)
         k4 = deriv(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)) or np.abs(z).max() > OVERFLOW_GUARD:
+        z = np.add(z, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=samples[k + 1])
+        # NaN and inf fail <= too; _finalize slices the overflowing row away
+        if not np.abs(z).max() <= OVERFLOW_GUARD:
             return _finalize(config.system, times[: k + 1], samples[: k + 1], float(times[k + 1]))
-        samples[k + 1] = z
 
     return _finalize(config.system, times, samples)
 
@@ -258,24 +258,24 @@ def check_decay(traj: Trajectory) -> DecayReport:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV export to path with header t,node,component,x,e,V (V repeated per
-    row), written one sample at a time."""
+    """CSV export to path, byte for byte what csv.writer writes by default:
+    header t,node,component,x,e,V, then rows by sample, node and component,
+    each ending in \\r\\n, with t, x, e and V as repr floats (V repeated on
+    each row of its sample). One row template per shape is filled and written
+    once per sample, so no trajectory-sized buffer is held."""
+    template = "".join(f"\0,{i},{c},%r,%r,\1\r\n" for i, c in np.ndindex(traj.states.shape[1:]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "component", "x", "e", "V"])
-        _, n_nodes, n = traj.states.shape
-        nodes = [i for i in range(n_nodes) for _ in range(n)]
-        components = list(range(n)) * n_nodes
-        for t, v, x, e in zip(traj.times, traj.lyapunov, traj.states, traj.errors):
-            writer.writerows(zip(repeat(repr(float(t))), nodes, components,
-                                 map(repr, x.ravel().tolist()), map(repr, e.ravel().tolist()),
-                                 repeat(repr(float(v)))))
+        fh.write("t,node,component,x,e,V\r\n")
+        for t, v, x, e in zip(traj.times.tolist(), traj.lyapunov.tolist(), traj.states, traj.errors):
+            xe = np.stack((x, e), axis=-1).ravel().tolist()
+            fh.write(template.replace("\0", repr(t)).replace("\1", repr(v)) % tuple(xe))
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
-    """Run summary: final error norm, decay verdict, step count."""
+    """Run summary: final error norm (None past the largest float), decay verdict, step count."""
+    norm = traj.final_error_norm()
     return {
-        "final_error_norm": traj.final_error_norm(),
+        "final_error_norm": norm if math.isfinite(norm) else None,
         "decayed": bool(check_decay(traj)),
         "steps": traj.steps,
     }

@@ -414,20 +414,36 @@ def test_simulate_huge_x0_prints_strict_json(tmp_path, graph_file, capsys):
     assert summary["diverged"] is True and summary["decayed"] is False
 
 
+def test_simulate_norm_past_largest_float_prints_null(tmp_path, graph_file, capsys):
+    # ||e(0)|| = 1.7e308 sqrt(2) exceeds the largest float: null, not Infinity
+    path = graph_file(path_graph(3), "p3.txt")
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": [1.7e308, 1.7e308, 0.0], "s0": [0.0]}
+    doc = config_doc(path, 1.0, 1.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
+                     sim=sim)
+    code = main(["simulate", write_config(tmp_path, doc), "--json"])
+    summary = strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert summary["final_error_norm"] is None
+    assert summary["diverged"] is True and summary["steps"] == 0
+
+
 def test_kappa_huge_q_matches_unit_q(tmp_path, graph_file, capsys):
-    # the verdicts are invariant under scaling Q; ||Q|| = 1e200 must not overflow
+    # the verdicts are invariant under scaling Q: ||Q|| = 1e200 must not
+    # overflow, and lambda_min(QB + B^T Q^T) = 2e-200 is not degenerate
     path = graph_file(complete_graph(3), "k3.txt")
-    payloads = []
-    for q in (1.0, 1e200):
+    runs = []
+    for q in (1.0, 1e-200, 1e200):
         doc = config_doc(path, 1.0, 20.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
                          q=[[q]])
         code = main(["kappa", write_config(tmp_path, doc), "--json"])
-        payloads.append(strict_json(capsys.readouterr().out))
-        assert code == 0
-    unit, huge = payloads
-    for key in ("verdict_theorem", "verdict_exact", "structural_ok"):
-        assert huge[key] == unit[key]
-    assert huge["rhs_threshold"] == pytest.approx(unit["rhs_threshold"], rel=1e-12)
+        runs.append((code, strict_json(capsys.readouterr().out)))
+    (unit_code, unit), *scaled = runs
+    assert unit_code == 0
+    for code, payload in scaled:
+        assert code == unit_code
+        for key in ("verdict_theorem", "verdict_exact", "structural_ok"):
+            assert payload[key] == unit[key]
+        assert payload["rhs_threshold"] == pytest.approx(unit["rhs_threshold"], rel=1e-12)
 
 
 def test_simulate_non_finite_dynamics_exits_2(tmp_path, graph_file, capsys):

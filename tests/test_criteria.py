@@ -112,6 +112,22 @@ def test_rhs_threshold_degenerate():
         rhs_threshold(spec)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_rhs_threshold_degeneracy_is_scale_free(scale):
+    # QB + B^T Q^T = 2 scale diag(1, eps): degenerate for eps = 1e-14 and not
+    # for eps = 1e-6, whatever the scale of Q
+    def spec(eps):
+        b = np.diag([1.0, eps])
+        return PinnedSystemSpec(
+            graph=path_graph(3), sigma=1.0, kappa=1.0, b_matrix=b, k_matrix=b,
+            q_matrix=SymMatrix(scale * np.eye(2)), pinned=(0,), f_bound=1.0,
+        )
+
+    assert rhs_threshold(spec(1e-6)) == pytest.approx(1e6, rel=1e-12)
+    with pytest.raises(PreconditionError):
+        rhs_threshold(spec(1e-14))
+
+
 def test_f_condition():
     g = path_graph(3)  # sigma*lambda_min>0 = 1
 

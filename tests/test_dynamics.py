@@ -12,6 +12,7 @@ from pinnet import (
     ScalarSaturatedDynamics,
     SimConfig,
     SymMatrix,
+    Trajectory,
     ValidationError,
     check_decay,
     complete_graph,
@@ -458,6 +459,43 @@ def test_stacked_rk4_matches_two_array_reference(name):
 def test_csv_matches_nested_loop_reference(name, tmp_path):
     config = ALL_CONFIGS[name]()
     traj = simulate(config)
+    write_trajectory_csv(traj, tmp_path / "got.csv")
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        reference_csv(traj, fh)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def hand_trajectory(times, states, errors, lyapunov, diverged_at=None):
+    """A Trajectory from given values; the writer does not read reference."""
+    states = np.array(states, dtype=float)
+    return Trajectory(np.array(times, dtype=float), states, states[:, 0],
+                      np.array(errors, dtype=float), np.array(lyapunov, dtype=float), diverged_at)
+
+
+EDGE_TRAJECTORIES = {
+    # signed zero, the smallest subnormal, huge and inf values, long time reprs
+    "edge-values": lambda: hand_trajectory(
+        [0.0, 0.30000000000000004, 1e300],
+        [[[-0.0], [5e-324]], [[1e300], [-5e-324]], [[1.7976931348623157e308], [0.1]]],
+        [[[5e-324], [-0.0]], [[-1e300], [2.2250738585072014e-308]], [[0.1 + 0.2], [-1e-300]]],
+        [-0.0, 5e-324, math.inf],
+    ),
+    "zero-step": lambda: hand_trajectory([0.0], [[[1.0], [2.0], [3.0]]],
+                                         [[[0.5], [-0.5], [1e-17]]], [1.25], diverged_at=0.01),
+    "one-node": lambda: hand_trajectory([0.0, 0.1, 0.2], [[[1.0]], [[0.5]], [[0.25]]],
+                                        [[[-1.0]], [[-0.5]], [[-0.25]]], [1.0, 0.25, 0.0625]),
+    "n3": lambda: hand_trajectory(
+        [1.0, 1.1],
+        np.arange(12.0).reshape(2, 2, 3) / 7.0,
+        -np.arange(12.0).reshape(2, 2, 3) / 3.0,
+        [0.1, 1 / 3],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TRAJECTORIES))
+def test_csv_edge_values_match_nested_loop_reference(name, tmp_path):
+    traj = EDGE_TRAJECTORIES[name]()
     write_trajectory_csv(traj, tmp_path / "got.csv")
     with open(tmp_path / "want.csv", "w", newline="") as fh:
         reference_csv(traj, fh)
