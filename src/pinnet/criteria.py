@@ -320,7 +320,8 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     """The criterion report: structural, exact and certificate answers in one.
 
     Structural: QK + K^T Q^T = kappa (QB + B^T Q^T) to within STRUCTURAL_TOL
-    relative to ||QK||, and lambda_min(QB + B^T Q^T) >= -STRUCTURAL_TOL.
+    times the larger norm of the two sides, and lambda_min(QB + B^T Q^T) >=
+    -STRUCTURAL_TOL ||QB + B^T Q^T||; both tests are unchanged by scaling Q.
     Exact: lambda_min>0(sigma L + kappa P) >= rhs_threshold up to
     EXACT_MARGIN, read with lambda_min(sigma L + kappa P) from one
     eigensolve; the product form (1/2) lambda_min(sigma L + kappa P)
@@ -339,10 +340,12 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     q = spec.q_matrix.array
     qk = q @ spec.k_matrix
     qb = q @ spec.b_matrix
-    residual = spectral_norm(qk + qk.T - spec.kappa * (qb + qb.T))
-    identity_ok = residual <= STRUCTURAL_TOL * (1.0 + spectral_norm(qk))
-    qb_lam, _ = spec._qb_spectrum
-    structural_ok = bool(identity_ok and qb_lam >= -STRUCTURAL_TOL)
+    qk_sym = qk + qk.T
+    residual = spectral_norm(qk_sym - spec.kappa * (qb + qb.T))
+    qb_lam, qb_norm = spec._qb_spectrum
+    scale = max(spectral_norm(qk_sym), spec.kappa * qb_norm)
+    structural_ok = bool(residual <= STRUCTURAL_TOL * scale
+                         and qb_lam >= -STRUCTURAL_TOL * qb_norm)
     reasons: dict[str, str] = {}
     flags: list[str] = []
 

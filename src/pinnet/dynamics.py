@@ -198,15 +198,18 @@ def simulate(config: SimConfig) -> Trajectory:
     samples = np.empty((n_steps + 1, *z.shape))
     samples[0] = z
 
-    for k in range(n_steps):
-        k1 = deriv(z)
-        k2 = deriv(z + half * k1)
-        k3 = deriv(z + half * k2)
-        k4 = deriv(z + dt * k3)
-        z = np.add(z, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=samples[k + 1])
-        # NaN and inf fail <= too; _finalize slices the overflowing row away
-        if not np.abs(z).max() <= OVERFLOW_GUARD:
-            return _finalize(config.system, times[: k + 1], samples[: k + 1], float(times[k + 1]))
+    # a step that overflows is reported as diverged_at, so it warns of nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = deriv(z)
+            k2 = deriv(z + half * k1)
+            k3 = deriv(z + half * k2)
+            k4 = deriv(z + dt * k3)
+            z = np.add(z, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=samples[k + 1])
+            # NaN and inf fail <= too; _finalize slices the overflowing row away
+            if not np.abs(z).max() <= OVERFLOW_GUARD:
+                return _finalize(config.system, times[: k + 1], samples[: k + 1],
+                                 float(times[k + 1]))
 
     return _finalize(config.system, times, samples)
 

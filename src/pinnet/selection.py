@@ -2,10 +2,10 @@
 
 Every reported objective is a dense eigensolve; the closed-form certificate
 is a reporting companion, not the search metric. Greedy screens its
-candidates with the rank-one secular equation first (pinning one more node
-adds kappa e_i e_i^T) and solves densely only those that could win.
-Exhaustive enumeration is the ground-truth oracle for the combinatorial
-problem, greedy and degree ranking are the cheap heuristics.
+candidates first by the rank-one secular equation (pinning one more node
+adds kappa e_i e_i^T), solved in a few passes of rational interpolation, and
+solves densely only those that could win. Exhaustive enumeration is the
+ground-truth oracle, greedy and degree ranking are the cheap heuristics.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ EXHAUSTIVE_GUARD = 10**6
 # Greedy solves densely every candidate whose secular score is within
 # SCREEN_RTOL (1 + lambda_max + kappa) of the best score.
 SCREEN_RTOL = 1e-8
-# Bisection halvings: the bracket shrinks below 2^-64 of its width, far under
-# the eigensolver's own error of a few ulps of lambda_max.
-SECULAR_STEPS = 64
 
 GREEDY = "greedy"
 DEGREE = "degree"
@@ -65,27 +62,45 @@ def _secular_scores(base: Spectrum, kappa: float, nodes) -> np.ndarray:
     """Smallest eigenvalue of M + kappa e_i e_i^T for each i in nodes, from
     the spectrum of M alone.
 
-    With M = V diag(lam) V^T, lam ascending and z = V[i], it is the root in
-    [lam_1, min(lam_2, lam_1 + kappa z_1^2)] of the increasing secular
-    function 1 + kappa sum_j z_j^2 / (lam_j - mu) (interlacing bounds it by
-    lam_2, the Rayleigh quotient of v_1 by lam_1 + kappa z_1^2; a one-node
-    graph has no lam_2, so the quotient alone bounds it). Bisection runs on
-    all nodes at once; a root past the bracket, where z_1 or z_2 vanishes,
-    ends on the bracket's end, which is then the eigenvalue.
+    With M = V diag(lam) V^T, lam ascending and z = V[i], it is lam_1 + tau,
+    tau the root in [0, min(delta, s1)] (delta = lam_2 - lam_1, s1 = kappa
+    z_1^2) of the increasing secular function 1 - s1 / tau + psi(tau), psi
+    = kappa sum_{j>=2} z_j^2 / (lam_j - lam_1 - tau) (interlacing bounds it
+    by lam_2, the Rayleigh quotient of v_1 by lam_1 + s1; a one-node graph
+    has no lam_2, so the quotient alone bounds it). Each pass, on all nodes
+    at once, keeps the pole at 0 exact, models psi by c + S / (delta - tau)
+    with psi's value and slope at tau, and moves tau to the model's smaller
+    root clamped to the bracket (Bunch, Nielsen & Sorensen 1978; R.-C. Li,
+    LAPACK Working Note 89). The model lies above psi, so tau climbs to the
+    root from 0, quadratically: passes stop once no tau moves by more than 4
+    ulps of lam_max + kappa, typically after 3 or 4. Where z_1 or z_2
+    vanishes, or lam_1 = lam_2, the root ends on the bracket's end, which is
+    then the eigenvalue.
     """
     lam = base.eigenvalues[::-1]
-    z2 = base.eigenvectors[list(nodes)][:, ::-1] ** 2
-    lo = np.full(len(z2), lam[0])
-    hi = lam[0] + kappa * z2[:, 0]
-    if len(lam) > 1:
-        hi = np.minimum(lam[1], hi)
+    w = kappa * base.eigenvectors[list(nodes)][:, ::-1] ** 2
+    s1, w, d = w[:, 0], w[:, 1:], lam[1:] - lam[0]
+    delta = d[0] if len(d) else s1  # one node: the model's root is then s1
+    hi = np.minimum(delta, s1)
+    tol = 4.0 * np.finfo(float).eps * abs(lam[-1] + kappa)
+    tau = np.zeros(len(s1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(SECULAR_STEPS):
-            mid = 0.5 * (lo + hi)
-            below = 1.0 + kappa * (z2 / (lam - mid[:, None])).sum(axis=1) < 0.0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    return hi
+        # A root on lam_2's own pole (z_2 = 0, a double eigenvalue) is reached
+        # only linearly, but each pass more than halves the distance to it.
+        for _ in range(64):
+            r = 1.0 / (d - tau[:, None])
+            wr = w * r
+            psi, slope, gap = wr.sum(axis=1), (wr * r).sum(axis=1), delta - tau
+            s, ad = slope * gap**2, (1.0 + psi - slope * gap) * delta
+            b = ad + s1 + s  # the discriminant below is b^2 - 4 ad s1
+            root = 2.0 * s1 * delta / (b + np.sqrt((ad - s1) ** 2 + s * (b + ad + s1)))
+            # NaN (a pole at tau, or 0 / 0) comes only at tau = delta = hi
+            root = np.fmax(np.fmin(root, hi), 0.0)
+            step = np.abs(root - tau).max()
+            tau = root
+            if step <= tol:
+                break
+    return lam[0] + tau
 
 
 def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:

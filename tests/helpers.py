@@ -74,3 +74,25 @@ def break_eigvalsh(monkeypatch):
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+
+
+def bisect_secular_scores(base, kappa: float, nodes) -> np.ndarray:
+    """The secular screen's reference: 64 bisection halvings, on all nodes at
+    once, of 1 + kappa sum_j z_j^2 / (lam_j - mu) (lam ascending, z = V[i])
+    over [lam_1, min(lam_2, lam_1 + kappa z_1^2)], the bracket from
+    interlacing and the Rayleigh quotient of v_1. The halvings shrink the
+    bracket below 2^-64 of its width, so the result is the root to round-off;
+    a root past the bracket ends on its end, which is then the eigenvalue."""
+    lam = base.eigenvalues[::-1]
+    z2 = base.eigenvectors[list(nodes)][:, ::-1] ** 2
+    lo = np.full(len(z2), lam[0])
+    hi = lam[0] + kappa * z2[:, 0]
+    if len(lam) > 1:
+        hi = np.minimum(lam[1], hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            below = 1.0 + kappa * (z2 / (lam - mid[:, None])).sum(axis=1) < 0.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    return hi

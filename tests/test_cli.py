@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,37 @@ def test_simulate_norm_past_largest_float_prints_null(tmp_path, graph_file, caps
     assert code == 0
     assert summary["final_error_norm"] is None
     assert summary["diverged"] is True and summary["steps"] == 0
+
+
+def test_simulate_overflowing_step_warns_of_nothing(tmp_path, graph_file, capsys):
+    # the first step overflows; diverged_at reports it, so numpy must not warn too
+    path = graph_file(path_graph(3), "p3.txt")
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": [1.7e308, 1.7e308, 0.0], "s0": [0.0]}
+    doc = config_doc(path, 1.0, 1.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
+                     sim=sim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", write_config(tmp_path, doc), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert strict_json(captured.out)["diverged"] is True
+
+
+@pytest.mark.parametrize("k", [25.0, 20.0])
+def test_kappa_structural_check_is_scale_free(tmp_path, graph_file, capsys, k):
+    # QK + K^T Q^T = kappa (QB + B^T Q^T) fails at K = 25 and holds at K = 20
+    # for every scale of Q: 1e-200 must not shrink the residual under a fixed floor
+    path = graph_file(complete_graph(3), "k3.txt")
+    runs = []
+    for q in (1.0, 1e-200, 1e200):
+        doc = config_doc(path, 1.0, 20.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
+                         q=[[q]], k=[[k]])
+        code = main(["kappa", write_config(tmp_path, doc), "--json"])
+        payload = strict_json(capsys.readouterr().out)
+        runs.append((code, *(payload[key] for key in
+                             ("structural_ok", "verdict_theorem", "verdict_exact"))))
+    assert runs[0][1] is (k == 20.0)
+    assert runs == [runs[0]] * 3
 
 
 def test_kappa_huge_q_matches_unit_q(tmp_path, graph_file, capsys):

@@ -128,6 +128,20 @@ def test_rhs_threshold_degeneracy_is_scale_free(scale):
         rhs_threshold(spec(1e-14))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("eps", [-1e-3, -1e-12])
+def test_structural_sign_check_is_scale_free(scale, eps):
+    # QB + B^T Q^T = 2 scale diag(1, eps) with K = kappa B: the identity holds,
+    # and lambda_min < 0 fails the sign test for eps = -1e-3 at every scale of
+    # Q, while eps = -1e-12 is round-off next to the norm 2 scale
+    b = np.diag([1.0, eps])
+    spec = PinnedSystemSpec(
+        graph=path_graph(3), sigma=1.0, kappa=2.0, b_matrix=b, k_matrix=2.0 * b,
+        q_matrix=SymMatrix(scale * np.eye(2)), pinned=(0,), f_bound=1.0,
+    )
+    assert evaluate(spec).structural_ok is (eps == -1e-12)
+
+
 def test_f_condition():
     g = path_graph(3)  # sigma*lambda_min>0 = 1
 

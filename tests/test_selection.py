@@ -14,6 +14,7 @@ from pinnet import (
     complete_graph,
     cycle_graph,
     degree_select,
+    disjoint_union,
     erdos_renyi,
     evaluate_pinning,
     exhaustive_select,
@@ -26,7 +27,7 @@ from pinnet import (
 from pinnet.selection import _secular_scores
 from pinnet.spectral import eig_sym
 
-from helpers import graphs, random_connected_graph
+from helpers import bisect_secular_scores, graphs, random_connected_graph
 
 
 def reference_greedy(g, sigma, kappa, budget):
@@ -224,3 +225,33 @@ def test_secular_scores_match_dense_solves(pinned, kappa):
     scores = _secular_scores(base, kappa, nodes)
     dense = [evaluate_pinning(g, 1.0, kappa, pinned + (i,)) for i in nodes]
     assert scores == pytest.approx(dense, rel=1e-12)
+
+
+SECULAR_CASES = {
+    "er400": (erdos_renyi(400, 0.05, seed=4), (3, 17)),
+    "complete": (complete_graph(7), (0,)),
+    "cycle": (cycle_graph(9), ()),
+    # no pins on two components: lam_1 = lam_2 = 0
+    "disconnected": (disjoint_union(complete_graph(4), path_graph(5)), ()),
+    # the pinned K3 lifts its nodes off v_1 = the K2's indicator: z_1 = 0 there
+    "z1_zero": (disjoint_union(complete_graph(3), complete_graph(2)), (0,)),
+    "one_node": (Graph(1), ()),
+}
+
+
+@pytest.mark.parametrize("case", SECULAR_CASES)
+@pytest.mark.parametrize("kappa", [0.0, 1e-12, 5.0, 1e4])
+def test_secular_scores_match_bisection_and_dense_solves(case, kappa):
+    g, pinned = SECULAR_CASES[case]
+    m = pinned_operator(g, 1.0, kappa, pinned)
+    base = eig_sym(m)
+    nodes = [i for i in range(g.num_nodes) if i not in pinned]
+    scores = _secular_scores(base, kappa, nodes)
+    ulps = np.finfo(float).eps * (1.0 + base.eigenvalues[0] + kappa)
+    assert np.abs(scores - bisect_secular_scores(base, kappa, nodes)).max() <= 4 * ulps
+    # Dense solves on at most 20 nodes, spread over the graph. Their own error
+    # grows with N: at N = 400 the bisection too is 15 ulps off them.
+    for node, score in list(zip(nodes, scores))[:: max(1, len(nodes) // 20)]:
+        pinned_i = m.array.copy()
+        pinned_i[node, node] += kappa
+        assert abs(score - np.linalg.eigvalsh(pinned_i)[0]) <= 32 * ulps
