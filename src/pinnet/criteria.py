@@ -131,6 +131,8 @@ class PinnedSystemSpec:
             raise ValidationError(
                 f"B {b.shape} and K {k.shape} must both be {n}x{n} to match Q"
             )
+        if not (np.isfinite(b).all() and np.isfinite(k).all()):
+            raise ValidationError("B and K entries must be finite")
         b.setflags(write=False)
         k.setflags(write=False)
         object.__setattr__(self, "b_matrix", b)
@@ -243,15 +245,22 @@ def sigma_lambda_min_gt0(spec: PinnedSystemSpec) -> float:
 
 
 def certificate_bound(s: float, sigma: float, kappa: float, pinned_degrees) -> float:
-    """s - sum_i lili_term(kappa - s, sigma kappa deg_i); kappa > s unless no pins."""
+    """s - sum_i lili_term(kappa - s, sigma kappa deg_i); kappa > s unless no pins.
+
+    Computed in units of 2^e, e the exponent of s. Dividing by 2^e is exact,
+    so the bits are the plain formula's wherever that stays in range, and
+    sigma kappa deg_i no longer underflows or overflows at extreme scales."""
     if len(pinned_degrees) == 0:
         return s
     if kappa <= s:
         raise PreconditionError(
             f"kappa = {kappa:.6g} must exceed sigma*lambda_min>0(L) = {s:.6g}"
         )
+    _, e = math.frexp(s)
+    s, sigma, kappa = (math.ldexp(x, -e) for x in (s, sigma, kappa))
     eta = kappa - s
-    return s - sum(lili_term(eta, sigma * kappa * float(d)) for d in pinned_degrees)
+    return math.ldexp(
+        s - sum(lili_term(eta, sigma * kappa * float(d)) for d in pinned_degrees), e)
 
 
 def iterative_bound(spec: PinnedSystemSpec) -> float:
@@ -313,7 +322,9 @@ def kappa_threshold(spec: PinnedSystemSpec) -> float:
             f"certificate saturates below the threshold, no kappa suffices: {inequality}",
             inequality,
         )
-    return s * margin / (margin - spec.sigma * deg_sum)
+    _, e = math.frexp(s)  # in units of 2^e, as certificate_bound
+    s, margin, sigma = (math.ldexp(x, -e) for x in (s, margin, spec.sigma))
+    return math.ldexp(s * margin / (margin - sigma * deg_sum), e)
 
 
 def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
@@ -323,8 +334,8 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     times the larger norm of the two sides, and lambda_min(QB + B^T Q^T) >=
     -STRUCTURAL_TOL ||QB + B^T Q^T||; both tests are unchanged by scaling Q.
     Exact: lambda_min>0(sigma L + kappa P) >= rhs_threshold up to
-    EXACT_MARGIN, read with lambda_min(sigma L + kappa P) from one
-    eigensolve; the product form (1/2) lambda_min(sigma L + kappa P)
+    EXACT_MARGIN |rhs_threshold|, read with lambda_min(sigma L + kappa P)
+    from one eigensolve; the product form (1/2) lambda_min(sigma L + kappa P)
     lambda_min(QB + B^T Q^T) vs f_bound ||Q|| is reported beside it and
     matches the quotient form whenever the pinned operator is positive
     definite. Individual failures become reasons, not aborts.
@@ -397,7 +408,7 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
         and unpinned is None
         and exact is not None
         and not singular
-        and exact_lambda >= rhs - EXACT_MARGIN * (1.0 + abs(rhs))
+        and exact_lambda >= rhs - EXACT_MARGIN * abs(rhs)
     )
 
     return CriterionReport(

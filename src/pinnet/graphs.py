@@ -50,8 +50,8 @@ class Graph:
     """Undirected simple graph on nodes 0..num_nodes-1.
 
     num_nodes and every endpoint must be Python or numpy integers (True, 0.5
-    and "0" are refused, never converted). Edges are stored lexicographically
-    sorted with u < v; duplicates collapse.
+    and "0" are refused, never converted), and every edge a pair. Edges are
+    stored lexicographically sorted with u < v; duplicates collapse.
     """
 
     num_nodes: int
@@ -62,14 +62,17 @@ class Graph:
         if num_nodes < 1:
             raise ValidationError(f"num_nodes must be positive, got {num_nodes}")
         seen = set()
-        for u, v in self.edges:
-            if not (type(u) is int and type(v) is int):
-                u, v = _index(u, "edge endpoint"), _index(v, "edge endpoint")
-            if u == v:
-                raise ValidationError(f"self-loop at node {u}")
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValidationError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-            seen.add(_normalize_edge(u, v))
+        try:
+            for u, v in self.edges:
+                if not (type(u) is int and type(v) is int):
+                    u, v = _index(u, "edge endpoint"), _index(v, "edge endpoint")
+                if u == v:
+                    raise ValidationError(f"self-loop at node {u}")
+                if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                    raise ValidationError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
+                seen.add(_normalize_edge(u, v))
+        except (TypeError, ValueError) as exc:  # an edge that does not unpack to a pair
+            raise ValidationError(f"every edge must be a pair of node indices: {exc}") from None
         object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 

@@ -24,7 +24,7 @@ from .spectral import lambda_min_gt0  # noqa: F401  (a module attribute the benc
 
 EXHAUSTIVE_GUARD = 10**6
 # Greedy solves densely every candidate whose secular score is within
-# SCREEN_RTOL (1 + lambda_max + kappa) of the best score.
+# SCREEN_RTOL (lambda_max + kappa) of the best score.
 SCREEN_RTOL = 1e-8
 
 GREEDY = "greedy"
@@ -113,14 +113,14 @@ def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
 
     Each round solves the current operator once (the empty set first, then
     the previous winner's solve is reused) and scores every candidate with
-    _secular_scores. Only candidates within SCREEN_RTOL (1 + lambda_max +
-    kappa) of the best score are solved densely, in index order, and the
-    reported objective is that dense value. When some score does not clear
-    twice the rank tolerance, lambda_min>0 may skip the new smallest
-    eigenvalue (an unpinned component, kappa zero or tiny), so every
-    candidate is solved densely. Picks, objectives and evaluations are those
-    of solving every candidate densely; ties (complete graphs, cycles) are
-    all solved, so a round costs between 1 and N - k dense solves.
+    _secular_scores. A candidate is solved densely, in index order, when its
+    score is within SCREEN_RTOL (lambda_max + kappa) of the best score, or
+    when it does not clear twice the rank tolerance of lambda_max + kappa:
+    lambda_min>0 may then skip the new smallest eigenvalue (an unpinned
+    component, kappa zero or tiny). The reported objective is the dense
+    value. Picks, objectives and evaluations are those of solving every
+    candidate densely; ties (complete graphs, cycles) are all solved, so a
+    round costs between 1 and N - k dense solves.
     """
     budget = _check_budget(g, budget)
     base = eig_sym(pinned_operator(g, sigma, kappa, ()))
@@ -132,10 +132,10 @@ def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
         cands = [i for i in range(g.num_nodes) if i not in chosen]
         evaluations += len(cands)
         scores = _secular_scores(base, kappa, cands)
-        lam_max = float(base.eigenvalues[0])
-        if scores.min() > 2.0 * default_rank_tol(lam_max + kappa):
-            cutoff = scores.max() - SCREEN_RTOL * (1.0 + lam_max + kappa)
-            cands = [c for c, score in zip(cands, scores) if score >= cutoff]
+        scale = base.eigenvalues[0] + kappa
+        dense = (scores >= scores.max() - SCREEN_RTOL * scale) | (
+            scores <= 2.0 * default_rank_tol(scale))
+        cands = [c for c, keep in zip(cands, dense) if keep]
         best_val = -math.inf
         for cand in cands:
             spectrum = eig_sym(pinned_operator(g, sigma, kappa, chosen + [cand]))

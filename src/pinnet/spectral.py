@@ -21,7 +21,6 @@ from .errors import NoNonzeroEigenvalueError, NotPSDError, NumericalError, Valid
 SYMMETRY_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-9
 RANK_RTOL = 1e-9
-RANK_TOL_FLOOR = 1e-12
 
 
 class SymMatrix:
@@ -29,7 +28,7 @@ class SymMatrix:
 
     Exactly symmetric input is stored as is. Other input is symmetrized as
     M/2 + M^T/2 (which cannot overflow) and fails if its asymmetry exceeds
-    1e-12 * (1 + max |entry|).
+    1e-12 * max |entry|, a test that scaling M leaves unchanged.
     """
 
     __slots__ = ("array",)
@@ -43,7 +42,7 @@ class SymMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("matrix entries must be finite")
         if not np.array_equal(arr, arr.T):
-            scale = 1.0 + np.abs(arr).max()
+            scale = np.abs(arr).max()
             asym = np.abs(arr - arr.T).max()
             if asym > SYMMETRY_RTOL * scale:
                 raise ValidationError(
@@ -139,8 +138,8 @@ def _pow2_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def default_rank_tol(lam_max: float) -> float:
-    """Relative rank cutoff 1e-9 * max(1, lambda_max), floored at 1e-12."""
-    return max(RANK_RTOL * max(1.0, abs(lam_max)), RANK_TOL_FLOOR)
+    """Relative rank cutoff 1e-9 * |lambda_max|, so scaling M scales it too."""
+    return RANK_RTOL * abs(lam_max)
 
 
 def lambda_min_gt0(m) -> float:

@@ -79,6 +79,11 @@ def test_assemble_arrow_dim_mismatch():
         assemble_arrow(np.zeros(3), np.eye(2))
 
 
+def test_arrow_border_must_match_the_block():
+    with pytest.raises(ValidationError, match="border length 3 does not match block dimension 2"):
+        ArrowMatrix(1.0, np.ones(3), SymMatrix(np.eye(2)))
+
+
 def test_lili_upper_tight_2x2():
     rep = lili_upper_max(ArrowMatrix(1.0, [1.0], SymMatrix([[1.0]])))
     assert rep.bound_value == pytest.approx(2.0, abs=1e-12)

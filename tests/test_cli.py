@@ -167,6 +167,17 @@ def test_bounds_below_pole(graph_file, capsys):
     assert "kappa" in payload["iterative_bound_reason"]
 
 
+def test_bounds_degenerate_mathias_gap_prints_null(graph_file, capsys):
+    # K3 at kappa 3 = lambda_min>0(L): |c - lambda_r| = 0 leaves Mathias vacuous
+    path = graph_file(complete_graph(3), "k3.txt")
+    code, payload = run_json(capsys, ["bounds", path, "--kappa", "3", "--pinned", "0", "--json"])
+    assert code == 0
+    (step,) = payload["steps"]
+    assert step["mathias"] is None
+    assert step["lili"] is not None and step["weyl"] is not None
+    assert payload["iterative_bound"] is None
+
+
 def test_bounds_empty_pinned(graph_file, capsys):
     path = graph_file(path_graph(3), "p3.txt")
     code, payload = run_json(capsys, ["bounds", path, "--kappa", "5", "--json"])
@@ -257,6 +268,63 @@ def test_kappa_structural_violation_exits_0(tmp_path, graph_file, capsys):
     assert code == 0
     assert payload["structural_ok"] is False
     assert payload["verdict_theorem"] is False
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    # a directory cannot be read as a file
+    assert main(["kappa", str(tmp_path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot read config" in captured.err
+
+
+@pytest.mark.parametrize("text, message", [("{not json", "is not valid JSON"),
+                                           ("[1, 2]", "must be a JSON object")])
+def test_malformed_config_document_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["kappa", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def k5_linear_config(tmp_path, graph_file, c):
+    """K5 pinned at node 0 with sigma, kappa, K and f_bound = ||A|| all scaled by c."""
+    path = graph_file(complete_graph(5), "k5.txt")
+    doc = config_doc(path, c, 10.0 * c, [0], {"kind": "linear", "matrix": [[0.5 * c]]})
+    return write_config(tmp_path, doc, name=f"k5_{c!r}.json")
+
+
+def test_kappa_certificate_is_scale_free(tmp_path, graph_file, capsys):
+    # sigma kappa deg_i underflows at 1e-300 and overflows at 1e160 unless the
+    # certificate is computed in units of a power of two
+    runs = {}
+    for c in (1.0, 1e-300, 1e160):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["kappa", k5_linear_config(tmp_path, graph_file, c), "--json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        runs[c] = strict_json(captured.out)
+    unit = runs.pop(1.0)
+    assert unit["iterative_bound"] == 0.6992647456322789
+    assert unit["kappa_threshold"] == pytest.approx(45.0, rel=1e-12)
+    assert (unit["verdict_theorem"], unit["verdict_exact"]) == (False, True)
+    for c, payload in runs.items():
+        for key in ("iterative_bound", "kappa_threshold"):
+            assert payload[key] / c == pytest.approx(unit[key], rel=1e-12)
+        for key in ("verdict_theorem", "verdict_exact", "structural_ok", "reasons"):
+            assert payload[key] == unit[key]
+
+
+def test_linear_dynamics_config_simulates(tmp_path, graph_file, capsys):
+    sim = {"t0": 0.0, "t_end": 2.0, "dt": 0.01, "x0": {"seed": 3}, "s0": [0.5]}
+    path = graph_file(complete_graph(3), "k3.txt")
+    doc = config_doc(path, 1.0, 20.0, [0], {"kind": "linear", "matrix": [[0.3]]}, sim=sim)
+    code = main(["simulate", write_config(tmp_path, doc)])
+    summary = strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert summary["verdict_theorem"] is True and summary["verdict_exact"] is True
+    assert summary["decayed"] is True and summary["diverged"] is False
 
 
 def test_kappa_f_bound_override_warning(tmp_path, graph_file, capsys):

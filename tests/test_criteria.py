@@ -320,7 +320,7 @@ def test_kappa_threshold_round_trip_consistency():
 def test_exact_condition_unpinned_kappa_zero():
     rep = evaluate(scalar_spec(path_graph(3), 1.0, 0.0, (), 0.5))
     assert rep.structural_ok
-    assert rep.exact_lambda >= rep.rhs_threshold - EXACT_MARGIN * (1.0 + abs(rep.rhs_threshold))
+    assert rep.exact_lambda >= rep.rhs_threshold - EXACT_MARGIN * abs(rep.rhs_threshold)
     assert rep.exact_lambda == pytest.approx(1.0)
     # consensus zero mode shows up in the true smallest eigenvalue
     assert abs(rep.exact_lambda_min) <= 1e-9
@@ -329,14 +329,14 @@ def test_exact_condition_unpinned_kappa_zero():
 def test_exact_condition_huge_f_bound():
     rep = evaluate(scalar_spec(path_graph(3), 1.0, 3.0, (0,), 1e3))
     assert rep.structural_ok
-    assert rep.exact_lambda < rep.rhs_threshold - EXACT_MARGIN * (1.0 + abs(rep.rhs_threshold))
+    assert rep.exact_lambda < rep.rhs_threshold - EXACT_MARGIN * abs(rep.rhs_threshold)
 
 
 def test_exact_condition_reports_product_form():
     spec = kn_spec(5, 1.0, 45.0, (0,), 0.5)
     rep = evaluate(spec)
     assert rep.structural_ok
-    assert rep.exact_lambda >= rep.rhs_threshold - EXACT_MARGIN * (1.0 + abs(rep.rhs_threshold))
+    assert rep.exact_lambda >= rep.rhs_threshold - EXACT_MARGIN * abs(rep.rhs_threshold)
     # product form: 0.5 * lambda_min * lambda_min(QB+B^TQ^T) vs f_bound*||Q||
     assert rep.proposition_lhs == pytest.approx(rep.exact_lambda_min)
     assert rep.proposition_rhs == pytest.approx(0.5)
@@ -530,6 +530,8 @@ def test_pins_must_be_integers():
 def test_spec_validation():
     with pytest.raises(ValidationError):
         scalar_spec(path_graph(3), -1.0, 1.0, (), 0.0)
+    with pytest.raises(ValidationError, match="f_bound must be non-negative"):
+        scalar_spec(path_graph(3), 1.0, 1.0, (), -0.1)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="sigma must be finite"):
             scalar_spec(path_graph(3), bad, 1.0, (), 0.0)
@@ -563,3 +565,20 @@ def test_spec_validation():
             pinned=(),
             f_bound=0.0,
         )
+
+
+@pytest.mark.parametrize("field, value", [("b_matrix", math.nan), ("k_matrix", math.inf),
+                                          ("k_matrix", -math.inf)])
+def test_non_finite_b_and_k_are_rejected(field, value):
+    # they would otherwise reach simulate as a first step that overflows
+    spec = scalar_spec(complete_graph(3), 1.0, 2.0, (0,), 0.1)
+    with pytest.raises(ValidationError, match="B and K entries must be finite"):
+        replace(spec, **{field: np.array([[value]])})
+
+
+def test_asymmetric_q_is_refused_at_any_scale():
+    # Q = 1e-13 [[2, 1], [0, 2]] is as far from symmetric as [[2, 1], [0, 2]]
+    for c in (1.0, 1e-13):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            PinnedSystemSpec(complete_graph(3), 1.0, 2.0, np.eye(2), 2.0 * np.eye(2),
+                             c * np.array([[2.0, 1.0], [0.0, 2.0]]), (0,), 0.1)

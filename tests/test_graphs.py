@@ -88,6 +88,18 @@ def test_parse_edge_list_missing_header():
         parse_edge_list("0 1\n1 2")
 
 
+def test_parse_edge_list_comments_only_lacks_a_header():
+    with pytest.raises(GraphParseError, match="missing 'N <num_nodes>' header") as exc:
+        parse_edge_list("# nothing here\n\n# still nothing\n")
+    assert exc.value.line_number == 1
+
+
+def test_parse_edge_list_three_token_line():
+    with pytest.raises(GraphParseError, match="expected 'u v'") as exc:
+        parse_edge_list("N 3\n0 1 2\n")
+    assert exc.value.line_number == 2
+
+
 @pytest.mark.parametrize(
     "text, line",
     [("N 1_2\n0 1", 1), ("N +3\n0 1", 1), ("N ３\n0 1", 1),
@@ -127,9 +139,17 @@ def test_edge_list_roundtrip():
     assert parse_edge_list(to_edge_list(g)) == g
 
 
+@pytest.mark.parametrize("edges", [((0, 1, 2),), ((0,),), (0,), ((0, 1), ()), 5])
+def test_graph_refuses_an_edge_that_is_not_a_pair(edges):
+    with pytest.raises(ValidationError, match="^every edge must be a pair of node indices"):
+        Graph(3, edges)
+
+
 def test_graph_validation():
     with pytest.raises(ValidationError):
         Graph(0)
+    with pytest.raises(ValidationError, match="cycle needs at least 3 nodes"):
+        cycle_graph(2)
     with pytest.raises(ValidationError):
         Graph(3, ((1, 1),))
     with pytest.raises(ValidationError):

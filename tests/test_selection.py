@@ -54,7 +54,7 @@ def reference_greedy(g, sigma, kappa, budget):
 
 def outcome(select, *args):
     """The result, or the error's type and message (an edgeless graph raises
-    at budget 0, and at every budget when kappa is within the rank tolerance)."""
+    at budget 0, and at every budget when kappa is 0)."""
     try:
         return select(*args)
     except PinnetError as exc:

@@ -6,7 +6,8 @@ Laplacian and the pinned operator once each, plus four n x n solves (two
 norms and lambda_min(QB + B^T Q^T) for the structural check, ||Q|| for the
 threshold). Greedy selection reads eigenvectors (np.linalg.eigh): it solves
 the empty set once, then per round only the candidates its secular screen
-cannot rule out.
+cannot rule out: those near the best score, and those whose score is within
+the rank tolerance.
 """
 
 from collections import Counter
@@ -14,7 +15,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pinnet import complete_graph, erdos_renyi, evaluate, greedy_select, to_edge_list
+from pinnet import (complete_graph, disjoint_union, erdos_renyi, evaluate, greedy_select,
+                    path_graph, to_edge_list)
 from pinnet.cli import main
 
 from helpers import scalar_spec
@@ -79,3 +81,19 @@ def test_greedy_solves_every_tied_candidate(solves):
     # every node of K8 ties, so each round solves all of them: 1 + 8 + 7 + 6
     greedy_select(complete_graph(8), 1.0, 5.0, 3)
     assert solves == {("eigh", 8): 22}
+
+
+def test_greedy_solves_singular_candidates_not_their_whole_round(solves):
+    # K5 + P6: in round 1 every candidate leaves a component unpinned, so all
+    # 11 are solved. Round 2 (node 0 pinned) solves the 4 K5 candidates that
+    # leave P6 unpinned and P6's best pair, not all 10: 1 + 11 + 4 + 2
+    result = greedy_select(disjoint_union(complete_graph(5), path_graph(6)), 1.0, 5.0, 2)
+    assert result.pinned == (0, 1)
+    assert solves == {("eigh", 11): 18}
+
+
+def test_greedy_screen_is_scale_free(solves):
+    # the unit-gain case above, scaled by 2^-30: the same picks from the same 4 solves
+    result = greedy_select(erdos_renyi(120, 0.08, seed=7), 2.0**-30, 5.0 * 2.0**-30, 3)
+    assert result.pinned == (56, 101, 7)
+    assert solves == {("eigh", 120): 4}

@@ -107,6 +107,21 @@ def test_symmetrize_and_reject():
         SymMatrix(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-13, 1e-200])
+def test_asymmetry_is_judged_relative_to_the_entries(c):
+    with pytest.raises(ValidationError, match="not symmetric"):
+        SymMatrix(c * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    near = SymMatrix(c * np.array([[1.0, 1.0 + 1e-14], [1.0, 1.0]]))
+    assert near.array[0, 1] == near.array[1, 0]
+
+
+def test_empty_matrix_is_rejected():
+    with pytest.raises(ValidationError, match="nonempty"):
+        SymMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match="nonempty"):
+        spectral_norm([])
+
+
 def test_exactly_symmetric_input_is_stored_as_is():
     m = np.random.default_rng(2).standard_normal((6, 6))
     m = m + m.T
@@ -196,6 +211,15 @@ def test_lambda_min_gt0_zero_matrix():
         lambda_min_gt0(SymMatrix(np.zeros((3, 3))))
     assert isinstance(exc.value, PreconditionError)
     assert not isinstance(exc.value, NumericalError)
+
+
+@pytest.mark.parametrize("c", [2.0**-100, 1.0, 2.0**100])
+def test_rank_tolerance_scales_with_the_matrix(c):
+    assert default_rank_tol(c * 3.0) == c * default_rank_tol(3.0)
+    w = c * np.array([4.0, 1.0, 1e-12, 0.0])
+    assert lambda_min_gt0(SymMatrix(np.diag(w))) == c
+    with pytest.raises(NotPSDError):
+        lambda_min_gt0(SymMatrix(np.diag(c * np.array([1.0, -1e-8]))))
 
 
 def test_lambda_min_gt0_not_psd():
