@@ -153,7 +153,7 @@ def load_analysis_config(path: str):
     override = _field(cfg, "f_bound_override", lambda v: v if v is None else _number(v),
                       default=None)
     if override is not None:
-        if override < f_bound - 1e-12:
+        if override < f_bound * (1.0 - 1e-12):
             print(
                 f"warning: f_bound_override {override:.6g} is below the "
                 f"closed-form bound {f_bound:.6g}",
@@ -243,17 +243,23 @@ def _step_rows(g, sigma, kappa, pinned, s, exact):
     """Per pin append: the arrow lower bounds and the exact lambda_min>0 after it.
 
     s and exact are lambda_min>0 before the first and after the last append.
+    The bounds are computed as certificate_bound computes its terms: in units
+    of 2^e, e the exponent of s, with the border weight sigma kappa deg_i in
+    units of 2^(2e), so they neither underflow nor overflow at extreme scales.
     """
     deg = degrees(g)
     mus = [lambda_min_gt0(criteria.pinned_operator(g, sigma, kappa, pinned[:k]))
            for k in range(1, len(pinned))] + [exact]
+    _, e = math.frexp(s)
+    sigma_u, kappa_u = math.ldexp(sigma, -e), math.ldexp(kappa, -e)
     rows = []
     for step, (node, mu_prev, mu) in enumerate(zip(pinned, [s] + mus, mus), start=1):
-        w = sigma * kappa * float(deg[node])
+        w = sigma_u * kappa_u * float(deg[node])
         row = {"step": step, "node": node, "degree": int(deg[node]), "exact": float(mu)}
         for key, kind in _STEP_BOUNDS.items():
             try:
-                row[key] = float(arrow_lower(kind, kappa, mu_prev, w))
+                bound = arrow_lower(kind, kappa_u, math.ldexp(mu_prev, -e), w)
+                row[key] = math.ldexp(float(bound), e)
             except DegenerateGapError:  # a degenerate Mathias gap
                 row[key] = None
         rows.append(row)

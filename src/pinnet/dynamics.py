@@ -5,13 +5,25 @@ The network integrates
     x_i' = f(x_i) - sigma B sum_j l_ij x_j + p_i K (s - x_i),    s' = f(s)
 
 with classical fixed-step RK4 on one stacked state z of shape (N+1, n): rows
-0..N-1 are the nodes x_i and row N is the reference s.
+0..N-1 are the nodes x_i and row N is the reference s. With f split into its
+linear part A and a nonlinear remainder phi, every RK4 stage evaluates
+
+    dz/dt = sum_t G_t z M_t^T + phi(z) = z A^T - sigma L^ z B^T - P^ z K^T + phi(z),
+
+where L^ is L padded with a zero reference row and column and (P^ z)_i =
+x_i - s for pinned i, zero elsewhere. The terms are built once per config:
+for n = 1 they fold into one matrix G = a I - b sigma L^ - k P^; for n >= 2
+they stay apart, P^ applied as a row mask, and no ((N+1) n)^2 matrix is
+formed. Samples agree with the per-block formula to 8 eps of each sample's
+largest magnitude, not bit for bit. There is no one-matmul RK4 propagator
+for linear runs: its rounding is a bias every step reapplies (step halving fails).
+
 Two node-dynamics families ship, each with a closed-form bound on the
 mean-value coupling matrix F(xi, xi~) defined by F (xi - xi~) = f(xi) - f(xi~):
 
-  - Linear f(x) = A x: F = A constant, bound ||A||;
+  - Linear f(x) = A x: F = A constant, bound ||A||; no remainder;
   - ScalarSaturated f(x) = a x + b tanh(x) (n = 1): F = a + b * (tanh xi -
-    tanh xi~)/(xi - xi~), bound |a| + |b|.
+    tanh xi~)/(xi - xi~), bound |a| + |b|; remainder b tanh(x).
 
 The decay witness is V(t) = sum_i e_i^T Q e_i for the supplied Q, the only
 positive definite matrix the criteria carry.
@@ -56,6 +68,9 @@ class LinearDynamics:
     def f_bound(self) -> float:
         return spectral_norm(self.matrix)
 
+    linear_part = property(lambda self: self.matrix)
+    remainder = None
+
     def f(self, x: np.ndarray) -> np.ndarray:
         return x @ self.matrix.T
 
@@ -81,8 +96,13 @@ class ScalarSaturatedDynamics:
     def f_bound(self) -> float:
         return abs(self.a) + abs(self.b)
 
+    linear_part = property(lambda self: np.array([[self.a]]))
+
+    def remainder(self, x: np.ndarray) -> np.ndarray:
+        return self.b * np.tanh(x)
+
     def f(self, x: np.ndarray) -> np.ndarray:
-        return self.a * x + self.b * np.tanh(x)
+        return self.a * x + self.remainder(x)
 
 
 NodeDynamics = LinearDynamics | ScalarSaturatedDynamics
@@ -158,27 +178,28 @@ class Trajectory:
 
 
 def _derivative(config: SimConfig):
-    """dz/dt of the stacked state z (rows 0..N-1 the nodes x_i, row N the
-    reference s), with the coupling matrices built once per config."""
-    spec = config.system
-    n_nodes = spec.graph.num_nodes
-    f = config.dynamics.f
-    sigma_l = spec.sigma * laplacian(spec.graph).array
-    bt = spec.b_matrix.T.copy()
-    kt = spec.k_matrix.T.copy()
-    pin = np.zeros((n_nodes, 1))
-    pin[list(spec.pinned), 0] = 1.0
+    """dz/dt = sum_t G_t z M_t^T + phi(z) of the stacked state z (see the
+    module docstring), with the operator built in place once per config."""
+    spec, dyn = config.system, config.dynamics
+    n_nodes, pins = spec.graph.num_nodes, list(spec.pinned)
+    g = np.zeros((n_nodes + 1, n_nodes + 1))
+    np.multiply(-spec.sigma, laplacian(spec.graph).array, out=g[:n_nodes, :n_nodes])
+    if dyn.state_dim == 1:
+        k = spec.k_matrix[0, 0]
+        g *= spec.b_matrix[0, 0]
+        g[pins, pins] -= k
+        g[pins, n_nodes] += k
+        g.flat[:: n_nodes + 2] += dyn.linear_part[0, 0]
+        linear = g.dot
+    else:
+        at, bt, kt = (m.T.copy() for m in (dyn.linear_part, spec.b_matrix, spec.k_matrix))
+        pin = np.isin(np.arange(n_nodes + 1), pins)[:, None] * 1.0
 
-    def deriv(z: np.ndarray) -> np.ndarray:
-        x, s = z[:n_nodes], z[n_nodes]
-        # f maps the node block and the reference row apart: a linear f over
-        # all N+1 rows at once rounds differently in BLAS when n >= 2
-        d = np.empty_like(z)
-        d[:n_nodes] = f(x) - (sigma_l @ x) @ bt + pin * ((s - x) @ kt)
-        d[n_nodes] = f(s)
-        return d
+        def linear(z):
+            return z @ at + (g @ z) @ bt + (pin * (z[n_nodes] - z)) @ kt
 
-    return deriv
+    phi = dyn.remainder
+    return linear if phi is None else lambda z: linear(z) + phi(z)
 
 
 def simulate(config: SimConfig) -> Trajectory:
@@ -218,8 +239,7 @@ def _finalize(spec: PinnedSystemSpec, times, samples, diverged_at=None) -> Traje
     samples.setflags(write=False)
     states, reference = samples[:, :-1], samples[:, -1]
     errors = reference[:, None, :] - states
-    q = spec.q_matrix.array
-    lyapunov = np.einsum("tia,ab,tib->t", errors, q, errors)
+    lyapunov = np.einsum("tia,ab,tib->t", errors, spec.q_matrix.array, errors)
     for arr in (times, errors, lyapunov):
         arr.setflags(write=False)
     return Trajectory(times, states, reference, errors, lyapunov, diverged_at)

@@ -12,6 +12,7 @@ is always read from the same solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +83,9 @@ class Spectrum:
         self.eigenvectors.setflags(write=False)
 
 
-def _solve(solver, sym: SymMatrix):
+def _solve(solver, arr: np.ndarray):
     try:
-        return solver(sym.array)
+        return solver(arr)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
 
@@ -97,7 +98,7 @@ def eig_sym(m) -> Spectrum:
     residual check ||M v - lambda v|| <= 1e-9 (1 + |lambda_1|) fails.
     """
     sym = as_sym_matrix(m)
-    w, v = _solve(np.linalg.eigh, sym)
+    w, v = _solve(np.linalg.eigh, sym.array)
     # descending order
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -114,27 +115,30 @@ def eig_sym(m) -> Spectrum:
 def eig_values(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
 
-    Raises NumericalError if the solver fails to converge, or if sum(lambda)
-    misses tr M or sum(lambda^2) misses ||M||_F^2 by more than 1e-9, all
-    divided by the scale 1 + max |lambda| (so nothing overflows).
+    M is solved divided by the power of two just above its largest entry,
+    and the eigenvalues multiplied back, so scaling M by a power of two
+    scales them exactly. Raises NumericalError if the solver fails to
+    converge, or if sum(lambda) misses tr M or sum(lambda^2) misses ||M||_F^2
+    by more than 1e-9, all in those units and divided by (1 + max |lambda|)
+    to the power of the identity (the scaled entries are below 1, so nothing
+    overflows).
     """
-    sym = as_sym_matrix(m)
-    w = _solve(np.linalg.eigvalsh, sym)[::-1].copy()
+    a, exp = _pow2_scaled(as_sym_matrix(m).array)
+    w = _solve(np.linalg.eigvalsh, a)[::-1].copy()
     scale = 1.0 + np.abs(w).max()
-    a, t = sym.array / scale, w / scale
-    error = max(abs(t.sum() - np.trace(a)), abs(t @ t - np.vdot(a, a)))
+    error = max(abs(w.sum() - np.trace(a)) / scale, abs(w @ w - np.vdot(a, a)) / scale**2)
     if not error <= RESIDUAL_RTOL:
         raise NumericalError(f"eigenvalues miss the trace or Frobenius identity by "
                              f"{error:.3e} of the spectral scale, above {RESIDUAL_RTOL:.0e}")
-    return w
+    return np.ldexp(w, exp)
 
 
 def _pow2_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """arr divided by the power of two 2^exp just above its largest magnitude,
     and exp. The division is exact, and squares of the scaled entries cannot
     overflow; multiply a norm of the result by 2^exp to undo it."""
-    _, exp = np.frexp(np.abs(arr).max())
-    return np.ldexp(arr, -exp), int(exp)
+    _, exp = math.frexp(max(arr.max(), -arr.min()))
+    return np.ldexp(arr, -exp), exp
 
 
 def default_rank_tol(lam_max: float) -> float:

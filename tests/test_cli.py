@@ -316,6 +316,45 @@ def test_kappa_certificate_is_scale_free(tmp_path, graph_file, capsys):
             assert payload[key] == unit[key]
 
 
+def test_bounds_step_rows_are_scale_free(graph_file, capsys):
+    # sigma kappa deg_i underflows at 1e-300 and overflows at 1e160 unless the
+    # per-step rows are computed in units of a power of two, as the certificate is
+    path = graph_file(complete_graph(5), "k5.txt")
+    runs = {}
+    for c in (1.0, 2.0**-990, 2.0**500, 1e-300, 1e160):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bounds", path, "--pinned", "0,1,2", "--sigma", repr(c),
+                         "--kappa", repr(10.0 * c), "--json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        runs[c] = strict_json(captured.out)["steps"]
+    unit = runs.pop(1.0)
+    assert [row["mathias"] is None for row in unit] == [False] * 3
+    for c, rows in runs.items():
+        assert [row["node"] for row in rows] == [0, 1, 2]
+        for row, want in zip(rows, unit):
+            # round-off alone puts the tight first Li-Li row 2e-15 above exact
+            assert row["lili"] <= row["exact"] * (1.0 + 1e-8), (c, row)
+            for key in ("weyl", "mathias", "lili", "exact"):
+                if c in (2.0**-990, 2.0**500):  # exact scaling
+                    assert row[key] == c * want[key], (c, key)
+                else:
+                    assert row[key] / c == pytest.approx(want[key], rel=1e-12), (c, key)
+
+
+def test_f_bound_override_warning_is_scale_free(tmp_path, graph_file, capsys):
+    path = graph_file(complete_graph(5), "k5.txt")
+    for c in (1.0, 1e-300):
+        doc = config_doc(path, c, 10.0 * c, [0], {"kind": "linear", "matrix": [[0.5 * c]]})
+        for override, warns in ((0.0, True), (0.5 * c, False)):
+            doc["f_bound_override"] = override
+            code = main(["kappa", write_config(tmp_path, doc), "--json"])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert ("below the closed-form bound" in captured.err) == warns, (c, override)
+
+
 def test_linear_dynamics_config_simulates(tmp_path, graph_file, capsys):
     sim = {"t0": 0.0, "t_end": 2.0, "dt": 0.01, "x0": {"seed": 3}, "s0": [0.5]}
     path = graph_file(complete_graph(3), "k3.txt")

@@ -441,8 +441,17 @@ def arrays_of(traj):
     return (traj.times, traj.states, traj.reference, traj.errors, traj.lyapunov)
 
 
+EPS = np.finfo(float).eps
+
+
+def stacked(states, reference):
+    return np.concatenate([states, reference[:, None, :]], axis=1)
+
+
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
 def test_stacked_rk4_matches_two_array_reference(name):
+    # the operator's stages round differently from the per-block formula, so
+    # each sample agrees to 8 eps of its largest magnitude, not bit for bit
     config = ALL_CONFIGS[name]()
     expected, divergence = reference_simulate(config)
     traj = simulate(config)
@@ -452,7 +461,54 @@ def test_stacked_rk4_matches_two_array_reference(name):
     else:
         assert divergence is None and traj.diverged_at is None
     for got, want in zip(arrays_of(traj), expected):
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.shape == want.shape
+    assert np.array_equal(traj.times, expected[0])
+    got, want = stacked(traj.states, traj.reference), stacked(*expected[1:3])
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - want) <= 8 * EPS * scale)
+    # errors and V are read from the samples by the reference's own formulas
+    errors = traj.reference[:, None, :] - traj.states
+    assert np.array_equal(traj.errors, errors)
+    q = config.system.q_matrix.array
+    assert np.array_equal(traj.lyapunov, np.einsum("tia,ab,tib->t", errors, q, errors))
+
+
+def scalar_operator_config(seed, linear):
+    """n = 1 with scalar B and K away from 1 and two pins on a random graph."""
+    rng = np.random.default_rng(seed)
+    n_nodes = int(rng.integers(4, 25))
+    spec = PinnedSystemSpec(
+        graph=erdos_renyi(n_nodes, 0.4, seed=seed), sigma=0.7, kappa=5.0,
+        b_matrix=[[1.3]], k_matrix=[[5.2]], q_matrix=SymMatrix([[1.0]]),
+        pinned=tuple(int(i) for i in rng.choice(n_nodes, size=2, replace=False)), f_bound=1.0,
+    )
+    a, b = rng.normal(size=2)
+    dyn = LinearDynamics([[a]]) if linear else ScalarSaturatedDynamics(float(a), float(b))
+    return SimConfig(spec, dyn, rng.uniform(-1, 1, (n_nodes, 1)), rng.uniform(-1, 1, 1),
+                     0.0, 1.0, 1e-2)
+
+
+OPERATOR_CONFIGS = {
+    **{f"n1-{kind}-{seed}": (lambda seed=seed, kind=kind: scalar_operator_config(seed, kind == "linear"))
+       for kind in ("linear", "saturated") for seed in range(4)},
+    **{f"n3-linear-{seed}": (lambda seed=seed: linear3_config(seed, 1.0, 1.0)) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
+def test_operator_matches_per_block_formula(name):
+    config = OPERATOR_CONFIGS[name]()
+    spec, f = config.system, config.dynamics.f
+    rng = np.random.default_rng(len(name))
+    x, s = rng.uniform(-2, 2, config.x0.shape), rng.uniform(-2, 2, config.s0.shape)
+    sigma_l = spec.sigma * laplacian(spec.graph).array
+    pin = np.isin(np.arange(len(x)), spec.pinned)[:, None]
+    terms = (f(x), (sigma_l @ x) @ spec.b_matrix.T, pin * ((s - x) @ spec.k_matrix.T))
+    want = np.vstack([terms[0] - terms[1] + terms[2], f(s)])
+    got = _derivative(config)(np.vstack([x, s]))
+    scale = max(np.abs(np.vstack(terms)).max(), np.abs(x).max(), np.abs(s).max())
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 8 * EPS * scale
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))

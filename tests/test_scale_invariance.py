@@ -3,32 +3,21 @@
 Scaling sigma, kappa, K = kappa B and f_bound by one factor c scales sigma L
 + kappa P, the certificate and rhs_threshold alike, so no verdict, flag or
 pick may change. With c a power of two the scaling is exact in floating
-point, so every quantity computed by arithmetic, or read from the vector
-eigensolve (selection objectives), is exactly c times its c = 1 value. The
-two read from LAPACK's values-only solve (exact_lambda, exact_lambda_min)
-are within a few ulps of the operator's scale: that solver rounds a few
-scaled matrices differently (8 of 3000 random pinned operators at 2^-30,
-by up to 14 ulps of the eigenvalue).
+point, so every quantity computed by arithmetic, or read from an
+eigensolve, is exactly c times its c = 1 value. The values-only solve reads
+the same matrix at every c, because eig_values divides it by its own power
+of two first.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinnet import (
-    PinnetError,
-    degree_select,
-    evaluate,
-    exhaustive_select,
-    greedy_select,
-    lambda_max,
-    pinned_operator,
-)
-from pinnet.spectral import default_rank_tol
+from pinnet import PinnetError, degree_select, evaluate, exhaustive_select, greedy_select
 
 from helpers import graphs, scalar_spec
 
-SCALED = ("sigma_lambda", "rhs_threshold", "iterative_bound", "kappa_threshold")
+SCALED = ("sigma_lambda", "rhs_threshold", "iterative_bound", "kappa_threshold",
+          "exact_lambda", "exact_lambda_min")
 
 
 def outcome(select, *args):
@@ -51,8 +40,6 @@ def test_scaling_every_gain_by_c_scales_every_answer_by_c(g, data, sigma, kappa,
     n = g.num_nodes
     pinned = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True)))
     unit = evaluate(scalar_spec(g, sigma, kappa, pinned, f_bound))
-    lam_max = lambda_max(pinned_operator(g, sigma, kappa, pinned))
-    rank_tol, ulps = default_rank_tol(lam_max), 32 * np.finfo(float).eps * lam_max
     for c in (2.0**-100, 2.0**-30, 2.0**30, 2.0**100):
         rep = evaluate(scalar_spec(g, c * sigma, c * kappa, pinned, c * f_bound))
         for key in ("verdict_theorem", "verdict_exact", "structural_ok", "flags"):
@@ -61,14 +48,6 @@ def test_scaling_every_gain_by_c_scales_every_answer_by_c(g, data, sigma, kappa,
         for key in SCALED:
             value = getattr(unit, key)
             assert getattr(rep, key) == (None if value is None else c * value), (c, key)
-        for key in ("exact_lambda", "exact_lambda_min"):
-            value = getattr(unit, key)
-            if value is None:
-                assert getattr(rep, key) is None, (c, key)
-            elif abs(value) > rank_tol:
-                assert abs(getattr(rep, key) - c * value) <= c * ulps, (c, key)
-            else:  # a round-off zero is only bounded, not scaled
-                assert abs(getattr(rep, key)) <= c * rank_tol, (c, key)
 
     budget = data.draw(st.integers(0, n))
     for select in (greedy_select, degree_select, exhaustive_select):
