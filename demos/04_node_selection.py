@@ -1,6 +1,6 @@
 """Choosing which nodes to pin under a budget.
 
-Maximizes lambda_min>0(sigma L + kappa P) exactly. Greedy growth is compared
+Maximizes lambda_min(sigma L + kappa P) exactly. Greedy growth is compared
 against the exhaustive oracle and the cheap highest-degree heuristic on a
 few topologies; the table reports objectives and how many candidate sets
 each method scored (evals).

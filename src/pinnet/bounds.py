@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateGapError, ValidationError
 from .spectral import SymMatrix, _numerical_rank, eig_sym, eig_values
 
-GAP_TOL = 1e-12
+GAP_RTOL = 1e-12
 
 
 class BoundKind(enum.Enum):
@@ -130,7 +130,7 @@ def arrow_lower(kind: BoundKind, c: float, lam_r: float, a_sq: float) -> float:
 
     kind is SMALLEST_NONZERO_LOWER, WEYL_LOWER or MATHIAS_LOWER. From ||a||^2
     and eta = |c - lambda_r| the terms are the Li-Li term, ||a|| and
-    ||a||^2 / eta (DegenerateGapError when eta <= 1e-12).
+    ||a||^2 / eta (DegenerateGapError when eta <= 1e-12 max(|c|, |lambda_r|)).
     """
     eta = abs(c - lam_r)
     if kind is BoundKind.SMALLEST_NONZERO_LOWER:
@@ -138,7 +138,7 @@ def arrow_lower(kind: BoundKind, c: float, lam_r: float, a_sq: float) -> float:
     elif kind is BoundKind.WEYL_LOWER:
         term = np.sqrt(a_sq)
     else:
-        if eta <= GAP_TOL:
+        if eta <= GAP_RTOL * max(abs(c), abs(lam_r)):
             raise DegenerateGapError(
                 f"gap |c - lambda_r| = {eta:.3e} is degenerate; the bound is vacuous"
             )
@@ -171,7 +171,8 @@ def weyl_lower(arr: ArrowMatrix) -> BoundReport:
 def mathias_lower(arr: ArrowMatrix) -> BoundReport:
     """Mathias-type corollary: min(c, lambda_r(M)) - ||a||^2 / |c - lambda_r(M)|.
 
-    Raises DegenerateGapError when |c - lambda_r| <= 1e-12; the quotient is
-    vacuous there and callers should fall back to the Weyl or Li-Li bound.
+    Raises DegenerateGapError when |c - lambda_r| <= 1e-12 max(|c|, |lambda_r|);
+    the quotient is vacuous there and callers should fall back to the Weyl or
+    Li-Li bound.
     """
     return _lower_report(BoundKind.MATHIAS_LOWER, arr)

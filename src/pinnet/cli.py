@@ -358,7 +358,7 @@ def cmd_select(args) -> int:
     lines = [
         f"method: {result.method}",
         f"pinned: {list(result.pinned)}",
-        f"objective lambda_min>0(sigma L + kappa P) = {_fmt(result.objective)}",
+        f"objective lambda_min(sigma L + kappa P) = {_fmt(result.objective)}",
         f"evaluations: {result.evaluations}",
     ]
     _emit(args, lines, payload)

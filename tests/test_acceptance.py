@@ -45,7 +45,7 @@ def test_acceptance_1_bound_soundness_sweep():
         for kappa in np.linspace(1.001 * s, 20.0 * s, 10):
             spec = scalar_spec(g, sigma, float(kappa), pinned, 0.0)
             bound = pn.iterative_bound(spec)
-            exact = pn.evaluate_pinning(g, sigma, float(kappa), pinned)
+            exact = pn.lambda_min_gt0(pn.pinned_operator(g, sigma, float(kappa), pinned))
             checked += 1
             worst = min(worst, exact - bound)
             if bound > exact + 1e-8:

@@ -171,6 +171,16 @@ def test_mathias_cases():
         mathias_lower(ArrowMatrix(1.0, [1.0], SymMatrix([[1.0]])))
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-13, 2.0**-60])
+def test_mathias_gap_is_judged_relative_to_the_arrow(c):
+    # the gap |2.5c - 2c| = 0.5c is half of c, so no scale makes it degenerate
+    arr = ArrowMatrix(2.5 * c, c * np.array([0.3, 0.2, 0.0]),
+                      SymMatrix(c * np.diag([3.0, 2.0, 0.0])))
+    rep = mathias_lower(arr)
+    assert rep.bound_value == pytest.approx(1.74 * c, rel=1e-12)
+    assert rep.bound_value <= rep.exact_value
+
+
 def test_rank_cross_check_and_psd_guard():
     with pytest.raises(NotPSDError):
         smallest_nonzero_lower(ArrowMatrix(1.0, [0.0], SymMatrix([[-1.0]])))

@@ -417,7 +417,7 @@ def test_select_budget_zero(graph_file, capsys):
     )
     assert code == 0
     assert payload["pinned"] == []
-    assert payload["objective"] == pytest.approx(1.0)
+    assert payload["objective"] == 0.0
 
 
 def test_select_budget_too_big_exits_2(graph_file, capsys):
@@ -754,14 +754,15 @@ def test_main_reuses_one_parser(graph_file, capsys, monkeypatch):
      (30, ["select", "--kappa", "2", "--budget", "15", "--method", "exhaustive"], 3, False),
      (3, ["spectrum"], 3, False),
      (3, ["bounds", "--kappa", "2", "--pinned", "0"], 3, False),
-     (3, ["select", "--kappa", "2", "--budget", "0"], 3, False),
+     (3, ["select", "--kappa", "2", "--budget", "0"], 0, False),
      (3, ["spectrum", "--kappa", "2", "--pinned", "0"], 4, True)],
     ids=["ok", "validation", "precondition", "edgeless", "edgeless_bounds", "edgeless_budget_0",
          "numerical"],
 )
 def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, nodes, argv, code,
                                            broken_solver):
-    # edgeless graphs: L has no nonzero eigenvalue, so lambda_min>0 is undefined
+    # edgeless graphs: L has no nonzero eigenvalue, so lambda_min>0 is undefined,
+    # while select's lambda_min(sigma L + kappa P) is 0.0 with no pin
     if broken_solver:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     path = tmp_path / "edgeless.txt"

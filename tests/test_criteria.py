@@ -223,7 +223,7 @@ def test_iterative_bound_sound_property(g, data, sigma, factor):
     pinned = data.draw(st.lists(st.integers(0, g.num_nodes - 1), unique=True, max_size=4))
     kappa = factor * sigma * lambda_min_gt0(laplacian(g))
     spec = scalar_spec(g, sigma, kappa, pinned, 0.0)
-    exact = evaluate_pinning(g, sigma, kappa, pinned)
+    exact = lambda_min_gt0(pinned_operator(g, sigma, kappa, pinned))
     assert iterative_bound(spec) <= exact + 1e-8 * (1.0 + abs(exact))
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +6,10 @@ from hypothesis import strategies as st
 from pinnet import (
     CombinatorialGuardError,
     Graph,
-    PinnetError,
     SelectionResult,
     ValidationError,
     complete_graph,
+    connected_components,
     cycle_graph,
     degree_select,
     disjoint_union,
@@ -32,43 +30,36 @@ from helpers import bisect_secular_scores, graphs, random_connected_graph
 
 def reference_greedy(g, sigma, kappa, budget):
     """The dense greedy: one exact solve per candidate set, strictly larger
-    wins, in index order. greedy_select must match it bit for bit."""
+    wins, in index order; a round whose values all read 0.0 pins the
+    smallest node of the first component with no pin, else the smallest
+    candidate. greedy_select must match it bit for bit."""
     if not 0 <= budget <= g.num_nodes:
         raise ValidationError(f"budget {budget} must be between 0 and {g.num_nodes}")
-    if budget == 0:
-        return SelectionResult((), evaluate_pinning(g, sigma, kappa, ()), "greedy", 0)
+    best_val = evaluate_pinning(g, sigma, kappa, ())
     chosen = []
     evaluations = 0
     for _ in range(budget):
-        best_val, best_node = -math.inf, -1
-        for cand in range(g.num_nodes):
-            if cand in chosen:
-                continue
-            val = evaluate_pinning(g, sigma, kappa, chosen + [cand])
-            evaluations += 1
-            if val > best_val:
-                best_val, best_node = val, cand
-        chosen.append(best_node)
+        cands = [i for i in range(g.num_nodes) if i not in chosen]
+        vals = [evaluate_pinning(g, sigma, kappa, chosen + [cand]) for cand in cands]
+        evaluations += len(cands)
+        best_val = max(vals)
+        if best_val == 0.0:
+            free = [c for c in connected_components(g) if not set(c) & set(chosen)]
+            chosen.append(free[0][0] if free else cands[0])
+        else:
+            chosen.append(cands[vals.index(best_val)])
     return SelectionResult(tuple(chosen), float(best_val), "greedy", evaluations)
 
 
-def outcome(select, *args):
-    """The result, or the error's type and message (an edgeless graph raises
-    at budget 0, and at every budget when kappa is 0)."""
-    try:
-        return select(*args)
-    except PinnetError as exc:
-        return type(exc), str(exc)
-
-
 def test_evaluate_pinning_path3():
+    # kappa 0 is no control: sigma L keeps its zero mode with or without pins
     g = path_graph(3)
-    assert evaluate_pinning(g, 1.0, 0.0, ()) == pytest.approx(1.0)
-    assert evaluate_pinning(g, 1.0, 0.0, (0,)) == pytest.approx(1.0)
+    assert evaluate_pinning(g, 1.0, 0.0, ()) == 0.0
+    assert evaluate_pinning(g, 1.0, 0.0, (0,)) == 0.0
 
 
 def test_evaluate_pinning_complete():
-    assert evaluate_pinning(complete_graph(4), 1.0, 5.0, ()) == pytest.approx(4.0)
+    assert evaluate_pinning(complete_graph(4), 1.0, 5.0, ()) == 0.0
 
 
 def test_evaluate_pinning_monotone_sanity():
@@ -138,11 +129,11 @@ def test_budget_validation():
 
 @pytest.mark.parametrize("g, budget", [(Graph(3), 3), (Graph(3), 1), (Graph(1), 1)])
 def test_greedy_answers_on_edgeless_and_one_node_graphs(g, budget):
-    # the empty pin set has no nonzero eigenvalue here, but no pick depends on it
+    # every node is its own component: 2 I once all are pinned, singular before
     greedy = greedy_select(g, 1.0, 2.0, budget)
     best = exhaustive_select(g, 1.0, 2.0, budget)
     assert (greedy.pinned, greedy.objective) == (best.pinned, best.objective)
-    assert greedy.objective == 2.0
+    assert greedy.objective == (2.0 if budget == g.num_nodes else 0.0)
 
 
 @pytest.mark.parametrize("select", [greedy_select, degree_select, exhaustive_select])
@@ -169,21 +160,34 @@ def test_greedy_never_beats_exhaustive():
 
 
 def test_objective_monotone_in_budget():
-    # Monotone from budget 1 upward (positive definite regime). The 0 -> 1
-    # transition can genuinely drop the smallest nonzero eigenvalue: the
-    # first pin turns the Laplacian zero mode into a new small eigenvalue
-    # (cycle C6 at kappa=4: 1.0 down to 0.2008).
+    # Monotone from budget 0: each pin adds a positive semidefinite
+    # kappa e_i e_i^T, which cannot lower lambda_min (0 with no pin).
     rng = np.random.default_rng(809)
     for g in [cycle_graph(6), random_connected_graph(rng, 9, 0.5)]:
         for select in (greedy_select, exhaustive_select, degree_select):
-            objs = [select(g, 1.0, 4.0, b).objective for b in range(1, 4)]
+            objs = [select(g, 1.0, 4.0, b).objective for b in range(4)]
+            assert objs[0] == 0.0 < objs[1]
             assert all(b >= a - 1e-10 for a, b in zip(objs, objs[1:]))
 
 
-def test_budget_zero_can_beat_budget_one():
-    # documents the rank-change effect behind the budget >= 1 restriction
-    g = cycle_graph(6)
-    assert greedy_select(g, 1.0, 4.0, 1).objective < evaluate_pinning(g, 1.0, 4.0, ())
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(), kappa=st.sampled_from([1e-3, 2.0, 50.0, 1e4]))
+def test_objective_positive_iff_every_component_can_be_pinned(g, kappa):
+    # greedy's zero rounds pin one component each, as exhaustive's optimum does
+    components = len(connected_components(g))
+    for budget in range(g.num_nodes + 1):
+        for select in (greedy_select, exhaustive_select):
+            assert (select(g, 1.0, kappa, budget).objective > 0.0) == (budget >= components)
+
+
+def test_one_pin_per_component_on_k5_plus_p6():
+    # every pin set of size 2 that leaves K5 or P6 unpinned is singular
+    g = disjoint_union(complete_graph(5), path_graph(6))
+    greedy = greedy_select(g, 1.0, 5.0, 2)
+    best = exhaustive_select(g, 1.0, 5.0, 2)
+    assert greedy.pinned == best.pinned == (0, 7)
+    assert greedy.objective == best.objective == pytest.approx(0.1751, abs=1e-4)
+    assert degree_select(g, 1.0, 5.0, 2) == SelectionResult((0, 1), 0.0, "degree", 1)
 
 
 def test_determinism():
@@ -203,10 +207,9 @@ def test_determinism():
 )
 def test_greedy_equals_dense_reference_property(g, kappa, sigma):
     # picks, objective (==) and evaluations, on every budget, including
-    # disconnected and edgeless graphs, kappa 0 and ties
+    # disconnected and edgeless graphs, kappa 0, zero rounds and ties
     for budget in range(g.num_nodes + 1):
-        expected = outcome(reference_greedy, g, sigma, kappa, budget)
-        assert outcome(greedy_select, g, sigma, kappa, budget) == expected
+        assert greedy_select(g, sigma, kappa, budget) == reference_greedy(g, sigma, kappa, budget)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])

@@ -6,8 +6,8 @@ Laplacian and the pinned operator once each, plus four n x n solves (two
 norms and lambda_min(QB + B^T Q^T) for the structural check, ||Q|| for the
 threshold). Greedy selection reads eigenvectors (np.linalg.eigh): it solves
 the empty set once, then per round only the candidates its secular screen
-cannot rule out: those near the best score, and those whose score is within
-the rank tolerance.
+cannot rule out, those near the best score, or only the pick of a round in
+which every candidate is singular.
 """
 
 from collections import Counter
@@ -84,12 +84,12 @@ def test_greedy_solves_every_tied_candidate(solves):
 
 
 def test_greedy_solves_singular_candidates_not_their_whole_round(solves):
-    # K5 + P6: in round 1 every candidate leaves a component unpinned, so all
-    # 11 are solved. Round 2 (node 0 pinned) solves the 4 K5 candidates that
-    # leave P6 unpinned and P6's best pair, not all 10: 1 + 11 + 4 + 2
+    # K5 + P6: in round 1 every candidate leaves a component unpinned, so only
+    # the pick, K5's node 0, is solved. Round 2 solves P6's tied middle pair,
+    # not the 4 singular K5 candidates: 1 + 1 + 2
     result = greedy_select(disjoint_union(complete_graph(5), path_graph(6)), 1.0, 5.0, 2)
-    assert result.pinned == (0, 1)
-    assert solves == {("eigh", 11): 18}
+    assert result.pinned == (0, 7)
+    assert solves == {("eigh", 11): 4}
 
 
 def test_greedy_screen_is_scale_free(solves):
@@ -97,3 +97,19 @@ def test_greedy_screen_is_scale_free(solves):
     result = greedy_select(erdos_renyi(120, 0.08, seed=7), 2.0**-30, 5.0 * 2.0**-30, 3)
     assert result.pinned == (56, 101, 7)
     assert solves == {("eigh", 120): 4}
+
+
+def test_greedy_solves_one_candidate_per_round_while_components_lack_pins(solves):
+    # 26 components and budget 6: every round is singular, so 1 + 6 solves where
+    # solving every candidate would take 886
+    result = greedy_select(erdos_renyi(150, 0.012, seed=10), 1.0, 2.0, 6)
+    assert result.objective == 0.0
+    assert solves == {("eigh", 150): 7}
+
+
+def test_greedy_solves_one_candidate_per_round_below_the_rank_tolerance(solves):
+    # connected, but kappa 1e-12 leaves every candidate within the rank
+    # tolerance: 1 + 3 solves where solving every candidate would take 748
+    result = greedy_select(erdos_renyi(250, 10 / 249, seed=3), 1.0, 1e-12, 3)
+    assert (result.pinned, result.objective) == ((0, 1, 2), 0.0)
+    assert solves == {("eigh", 250): 4}
