@@ -368,6 +368,11 @@ def cmd_select(args) -> int:
 def cmd_simulate(args) -> int:
     spec, dyn, cfg = load_analysis_config(args.config)
     config = _sim_config_from(cfg, spec, dyn)
+    if args.out:
+        try:  # an unwritable target fails before the run, not after it
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise ValidationError(f"cannot write trajectory CSV {args.out}: {exc}") from exc
     report = criteria.evaluate(spec)
     traj = dynamics.simulate(config)
     if args.out:

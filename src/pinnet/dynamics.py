@@ -17,6 +17,10 @@ they stay apart, P^ applied as a row mask, and no ((N+1) n)^2 matrix is
 formed. Samples agree with the per-block formula to 8 eps of each sample's
 largest magnitude, not bit for bit. There is no one-matmul RK4 propagator
 for linear runs: its rounding is a bias every step reapplies (step halving fails).
+A step rounds as the textbook z + dt/6 (k1 + 2 k2 + 2 k3 + k4) but writes its
+stages in place into buffers allocated once per run, with dt/2, dt, dt/6, 2 and
+the remainder's gain held as state-shaped arrays. The overflow guard reads the
+samples once per 64 steps and at the last step and cuts at the first offender.
 
 Two node-dynamics families ship, each with a closed-form bound on the
 mean-value coupling matrix F(xi, xi~) defined by F (xi - xi~) = f(xi) - f(xi~):
@@ -69,7 +73,7 @@ class LinearDynamics:
         return spectral_norm(self.matrix)
 
     linear_part = property(lambda self: self.matrix)
-    remainder = None
+    tanh_gain = None
 
     def f(self, x: np.ndarray) -> np.ndarray:
         return x @ self.matrix.T
@@ -97,12 +101,10 @@ class ScalarSaturatedDynamics:
         return abs(self.a) + abs(self.b)
 
     linear_part = property(lambda self: np.array([[self.a]]))
-
-    def remainder(self, x: np.ndarray) -> np.ndarray:
-        return self.b * np.tanh(x)
+    tanh_gain = property(lambda self: self.b)
 
     def f(self, x: np.ndarray) -> np.ndarray:
-        return self.a * x + self.remainder(x)
+        return self.a * x + self.b * np.tanh(x)
 
 
 NodeDynamics = LinearDynamics | ScalarSaturatedDynamics
@@ -178,10 +180,12 @@ class Trajectory:
 
 
 def _derivative(config: SimConfig):
-    """dz/dt = sum_t G_t z M_t^T + phi(z) of the stacked state z (see the
-    module docstring), with the operator built in place once per config."""
+    """deriv(z, out) writes dz/dt = sum_t G_t z M_t^T + phi(z) of the stacked state
+    z into out (not z); each ufunc and product writes into its last argument. The
+    operator, the remainder's gain and the scratch are built once per config."""
     spec, dyn = config.system, config.dynamics
     n_nodes, pins = spec.graph.num_nodes, list(spec.pinned)
+    t1, t2 = np.empty((2, n_nodes + 1, dyn.state_dim))
     g = np.zeros((n_nodes + 1, n_nodes + 1))
     np.multiply(-spec.sigma, laplacian(spec.graph).array, out=g[:n_nodes, :n_nodes])
     if dyn.state_dim == 1:
@@ -195,11 +199,20 @@ def _derivative(config: SimConfig):
         at, bt, kt = (m.T.copy() for m in (dyn.linear_part, spec.b_matrix, spec.k_matrix))
         pin = np.isin(np.arange(n_nodes + 1), pins)[:, None] * 1.0
 
-        def linear(z):
-            return z @ at + (g @ z) @ bt + (pin * (z[n_nodes] - z)) @ kt
+        def linear(z, out):
+            np.matmul(z, at, out)
+            np.add(out, np.matmul(np.matmul(g, z, t1), bt, t2), out)
+            np.multiply(pin, np.subtract(z[n_nodes], z, t1), t1)
+            np.add(out, np.matmul(t1, kt, t2), out)
 
-    phi = dyn.remainder
-    return linear if phi is None else lambda z: linear(z) + phi(z)
+    if dyn.tanh_gain is None:
+        return linear
+    b = np.full_like(t1, dyn.tanh_gain)
+
+    def deriv(z, out):
+        linear(z, out)
+        np.add(out, np.multiply(b, np.tanh(z, t1), t1), out)
+    return deriv
 
 
 def simulate(config: SimConfig) -> Trajectory:
@@ -208,29 +221,42 @@ def simulate(config: SimConfig) -> Trajectory:
     Trajectory.states and .reference are views of the stacked samples. A
     step that makes any state magnitude exceed 1e12 or become non-finite
     ends the run: the trajectory returned holds the finite samples before it
-    and sets diverged_at to that step's time. Nothing is raised.
+    and sets diverged_at to that step's time. Only a horizon whose samples
+    cannot be allocated raises, a ValidationError before any step.
     """
     n_steps = int(round((config.t_end - config.t0) / config.dt))
     dt = config.dt
-    half = dt / 2.0
-    times = config.t0 + dt * np.arange(n_steps + 1)
+    z0 = np.vstack([config.x0, config.s0])
+    try:
+        times = config.t0 + dt * np.arange(n_steps + 1)
+        samples = np.empty((n_steps + 1, *z0.shape))
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"cannot allocate the samples of {n_steps:.6g} steps: {exc}") from exc
+    samples[0] = z0
     deriv = _derivative(config)
-    z = np.vstack([config.x0, config.s0])
-    samples = np.empty((n_steps + 1, *z.shape))
-    samples[0] = z
+    half, full, sixth, two = (np.full_like(z0, c) for c in (dt / 2.0, dt, dt / 6.0, 2.0))
+    k1, k2, k3, k4, y = np.empty((5, *z0.shape))
 
-    # a step that overflows is reported as diverged_at, so it warns of nothing
+    # overflowed steps are reported as diverged_at, so they warn of nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1 = deriv(z)
-            k2 = deriv(z + half * k1)
-            k3 = deriv(z + half * k2)
-            k4 = deriv(z + dt * k3)
-            z = np.add(z, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=samples[k + 1])
-            # NaN and inf fail <= too; _finalize slices the overflowing row away
-            if not np.abs(z).max() <= OVERFLOW_GUARD:
-                return _finalize(config.system, times[: k + 1], samples[: k + 1],
-                                 float(times[k + 1]))
+            z = samples[k]  # each ufunc and product below writes into its last argument
+            deriv(z, k1)
+            deriv(np.add(z, np.multiply(half, k1, y), y), k2)
+            deriv(np.add(z, np.multiply(half, k2, y), y), k3)
+            deriv(np.add(z, np.multiply(full, k3, y), y), k4)
+            # z + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.add(k1, np.multiply(two, k2, k2), k1)
+            np.add(k1, np.multiply(two, k3, k3), k1)
+            np.add(z, np.multiply(sixth, np.add(k1, k4, k1), k1), samples[k + 1])
+            if (k + 1) % 64 and k + 1 < n_steps:
+                continue
+            # check the samples since the last check; NaN and inf fail <= too
+            first = k - k % 64 + 1
+            ok = np.abs(samples[first : k + 2]).max(axis=(1, 2)) <= OVERFLOW_GUARD
+            if not ok.all():
+                end = first + int(ok.argmin())
+                return _finalize(config.system, times[:end], samples[:end], float(times[end]))
 
     return _finalize(config.system, times, samples)
 

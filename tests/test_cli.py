@@ -834,6 +834,29 @@ def test_simulate_missing_sim_block_exits_2(tmp_path, graph_file, capsys):
     assert main(["simulate", cfg]) == 2
 
 
+@pytest.mark.parametrize("target", ["missing-dir/run.csv", "."])
+def test_simulate_unwritable_out_exits_2_before_the_run(tmp_path, graph_file, capsys, monkeypatch,
+                                                        target):
+    # a missing directory and a directory: both refused before any step is taken
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
+    monkeypatch.setattr(pinnet.dynamics, "simulate", lambda config: pytest.fail("integrated"))
+    code = main(["simulate", cfg, "--out", str(tmp_path / target), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write trajectory CSV {tmp_path / target}")
+
+
+def test_simulate_unallocatable_horizon_exits_2(tmp_path, graph_file, capsys):
+    # 1e299 steps: numpy refuses the arrays' size before allocating anything
+    sim = {"t0": 0.0, "t_end": 0.1, "dt": 1e-300, "x0": {"seed": 7}, "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
+    code = main(["simulate", cfg, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot allocate the samples of 1e+299 steps")
+
+
 def test_byte_reproducibility(tmp_path, graph_file, capsys):
     sim = {
         "t0": 0.0,

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from pinnet import (
     trajectory_summary,
     write_trajectory_csv,
 )
-from pinnet.dynamics import _derivative
+from pinnet.dynamics import OVERFLOW_GUARD, _derivative
 
 from helpers import scalar_spec
 
@@ -57,7 +59,9 @@ def test_linear_dynamics_must_be_square():
 
 def derivative_at(config, states, s):
     """(dx, ds) of the coupled system, read from one stacked (N+1, n) state."""
-    d = _derivative(config)(np.vstack([states, s]))
+    z = np.vstack([states, s])
+    d = np.empty_like(z)
+    _derivative(config)(z, d)
     return d[:-1], d[-1]
 
 
@@ -505,7 +509,7 @@ def test_operator_matches_per_block_formula(name):
     pin = np.isin(np.arange(len(x)), spec.pinned)[:, None]
     terms = (f(x), (sigma_l @ x) @ spec.b_matrix.T, pin * ((s - x) @ spec.k_matrix.T))
     want = np.vstack([terms[0] - terms[1] + terms[2], f(s)])
-    got = _derivative(config)(np.vstack([x, s]))
+    got = np.vstack(derivative_at(config, x, s))
     scale = max(np.abs(np.vstack(terms)).max(), np.abs(x).max(), np.abs(s).max())
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 8 * EPS * scale
@@ -570,3 +574,104 @@ def test_check_decay_matches_loop_reference(name):
     assert report.ok == (not violations and name in EQUALITY_CONFIGS)
     if "growing" in name:
         assert violations
+
+
+# ---------------------------------------------------------------------------
+# bit equality with textbook RK4 on the same derivative, guarded every step
+
+
+def textbook_simulate(config):
+    """z + dt/6 (k1 + 2 k2 + 2 k3 + k4) on _derivative, with a fresh array per
+    operation and the overflow guard after every step. Returns the Trajectory
+    fields (times, states, reference, errors, lyapunov, steps, diverged_at)."""
+    deriv = _derivative(config)
+
+    def f(z):
+        out = np.empty_like(z)
+        deriv(z, out)
+        return out
+
+    dt = config.dt
+    n_steps = int(round((config.t_end - config.t0) / dt))
+    times = config.t0 + dt * np.arange(n_steps + 1)
+    z = np.vstack([config.x0, config.s0])
+    samples, diverged_at = [z], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = f(z)
+            k2 = f(z + dt / 2 * k1)
+            k3 = f(z + dt / 2 * k2)
+            k4 = f(z + dt * k3)
+            z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.abs(z) <= 1e12):
+                diverged_at = float(times[k + 1])
+                break
+            samples.append(z)
+    samples = np.array(samples)
+    states, reference = samples[:, :-1], samples[:, -1]
+    errors = reference[:, None, :] - states
+    lyapunov = np.einsum("tia,ab,tib->t", errors, config.system.q_matrix.array, errors)
+    return times[: len(samples)], states, reference, errors, lyapunov, len(samples) - 1, diverged_at
+
+
+def rate_scaled(config, c):
+    """The same run with every rate (sigma, kappa, K, f) times c and time over c."""
+    spec, dyn = config.system, config.dynamics
+    spec = dataclasses.replace(spec, sigma=c * spec.sigma, kappa=c * spec.kappa,
+                               k_matrix=c * spec.k_matrix, f_bound=c * spec.f_bound)
+    dyn = (LinearDynamics(c * dyn.matrix) if dyn.tanh_gain is None
+           else ScalarSaturatedDynamics(c * dyn.a, c * dyn.b))
+    return SimConfig(spec, dyn, config.x0, config.s0, config.t0 / c, config.t_end / c, config.dt / c)
+
+
+def state_scaled(config, c):
+    return dataclasses.replace(config, x0=c * config.x0, s0=c * config.s0)
+
+
+BIT_CONFIGS = {
+    **ALL_CONFIGS,
+    **{f"{name}-rates-2^{e}": (lambda name=name, e=e: rate_scaled(ALL_CONFIGS[name](), 2.0**e))
+       for name in ("n1-decaying", "n1-linear", "n3-linear", "n3-diverging") for e in (-100, 100)},
+    **{f"{name}-states-2^-100": (lambda name=name: state_scaled(ALL_CONFIGS[name](), 2.0**-100))
+       for name in ("n1-decaying", "n1-linear", "n3-linear")},
+}
+
+
+def assert_matches_textbook(traj, config):
+    *arrays, steps, diverged_at = textbook_simulate(config)
+    for got, want in zip(arrays_of(traj), arrays):
+        assert np.array_equal(got, want)
+    assert (traj.steps, traj.diverged_at) == (steps, diverged_at)
+
+
+@pytest.mark.parametrize("name", sorted(BIT_CONFIGS))
+def test_simulate_is_textbook_rk4_bit_for_bit(name):
+    config = BIT_CONFIGS[name]()
+    assert_matches_textbook(simulate(config), config)
+
+
+def growth_config(n_steps, first_over, rate):
+    """One free node with x' = rate x, started so that sample first_over is the
+    first whose magnitude exceeds the overflow guard, by sqrt(r) either side."""
+    h, dt = 0.5 * rate, 0.5
+    r = 1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24  # RK4's amplification per step
+    x0 = OVERFLOW_GUARD * r ** (0.5 - first_over)
+    spec = scalar_spec(Graph(1), 1.0, 0.0, (), rate)
+    return SimConfig(spec, LinearDynamics([[rate]]), [[x0]], [0.0], 0.0, n_steps * dt, dt)
+
+
+@pytest.mark.parametrize("n_steps, first_over, rate", [
+    (200, 1, 1.0), (200, 63, 1.0), (200, 64, 1.0), (200, 65, 1.0), (200, 129, 1.0),
+    # r = 1.2e5: the steps run on past the first offender reach inf and 0 inf = NaN
+    (200, 1, 80.0),
+    (100, 100, 1.0), (128, 128, 1.0),  # at the last step, off and on a check boundary
+    (10, 7, 1.0), (10, 10, 1.0),  # in a run shorter than one check block
+])
+def test_divergence_is_cut_at_the_first_offending_step(n_steps, first_over, rate):
+    config = growth_config(n_steps, first_over, rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(config)
+    assert traj.steps == first_over - 1
+    assert traj.diverged_at == first_over * config.dt
+    assert_matches_textbook(traj, config)
