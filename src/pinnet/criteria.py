@@ -217,13 +217,15 @@ class CriterionReport:
 
 
 def pinned_operator(g: Graph, sigma: float, kappa: float, pinned) -> SymMatrix:
-    """sigma L + kappa P as a dense symmetric matrix, P the 0/1 pinned diagonal."""
+    """sigma L + kappa P as a dense symmetric matrix, P the 0/1 pinned diagonal:
+    one scaled copy of g's memoised Laplacian with kappa added at the pins.
+    It is exactly symmetric by construction, so of the matrix checks only
+    finiteness (sigma deg_i can overflow) is made."""
     _check_gains(sigma, kappa)
-    p = np.zeros(g.num_nodes)
-    p[list(_check_pins(pinned, g.num_nodes))] = 1.0
+    pins = list(_check_pins(pinned, g.num_nodes))
     arr = sigma * laplacian(g).array
-    arr[np.diag_indices(g.num_nodes)] += kappa * p
-    return SymMatrix(arr)
+    arr[pins, pins] += kappa
+    return SymMatrix._exact(arr)
 
 
 def rhs_threshold(spec: PinnedSystemSpec) -> float:

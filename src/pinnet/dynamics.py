@@ -147,6 +147,9 @@ class SimConfig:
         for name in ("t0", "t_end", "dt"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(span / self.dt):
+            raise ValidationError(f"the step count (t_end - t0) / dt = ({self.t_end} - "
+                                  f"{self.t0}) / {self.dt} overflows")
         if abs(round(span / self.dt) * self.dt - span) > HORIZON_RTOL * span:
             raise ValidationError(
                 f"dt = {self.dt} does not divide t_end - t0 = {span}; "

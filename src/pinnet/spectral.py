@@ -40,8 +40,7 @@ class SymMatrix:
             raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
         if arr.size == 0:
             raise ValidationError("matrix must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("matrix entries must be finite")
+        _check_finite(arr)
         if not np.array_equal(arr, arr.T):
             scale = np.abs(arr).max()
             asym = np.abs(arr - arr.T).max()
@@ -54,6 +53,17 @@ class SymMatrix:
         arr.setflags(write=False)
         self.array = arr
 
+    @classmethod
+    def _exact(cls, arr: np.ndarray) -> SymMatrix:
+        """Wrap a nonempty square float array that is exactly symmetric by
+        construction, without copying it or testing its symmetry; only the
+        finiteness check can fail. arr becomes read-only."""
+        _check_finite(arr)
+        arr.setflags(write=False)
+        sym = cls.__new__(cls)
+        sym.array = arr
+        return sym
+
     @property
     def dim(self) -> int:
         return self.array.shape[0]
@@ -65,6 +75,11 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix(dim={self.dim})"
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("matrix entries must be finite")
 
 
 def as_sym_matrix(m) -> SymMatrix:

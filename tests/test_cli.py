@@ -857,6 +857,16 @@ def test_simulate_unallocatable_horizon_exits_2(tmp_path, graph_file, capsys):
     assert captured.err.startswith("error: cannot allocate the samples of 1e+299 steps")
 
 
+@pytest.mark.parametrize("t0, t_end, dt", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
+def test_simulate_overflowing_step_count_exits_2(tmp_path, graph_file, capsys, t0, t_end, dt):
+    sim = {"t0": t0, "t_end": t_end, "dt": dt, "x0": {"seed": 7}, "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
+    code = main(["simulate", cfg, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: the step count (t_end - t0) / dt")
+
+
 def test_byte_reproducibility(tmp_path, graph_file, capsys):
     sim = {
         "t0": 0.0,

@@ -280,6 +280,16 @@ def test_sim_config_validation():
             SimConfig(spec, dyn, np.zeros((3, 1)), np.zeros(1), 0.0, 1.0, dt)
 
 
+@pytest.mark.parametrize("t0, t_end, dt", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
+def test_overflowing_step_count_is_a_validation_error(t0, t_end, dt):
+    # (t_end - t0) / dt is inf: the first through the quotient, the second
+    # through t_end - t0 itself; neither may surface as an OverflowError
+    spec = scalar_spec(complete_graph(3), 1.0, 5.0, (0,), 0.3)
+    with pytest.raises(ValidationError, match=r"step count \(t_end - t0\) / dt .* overflows"):
+        SimConfig(spec, ScalarSaturatedDynamics(0.2, 0.1), np.zeros((3, 1)), np.zeros(1),
+                  t0, t_end, dt)
+
+
 def test_dynamics_coefficients_must_be_finite():
     for a, b in [(math.nan, 0.1), (0.2, math.inf), (-math.inf, 0.0)]:
         with pytest.raises(ValidationError, match="must be finite"):
