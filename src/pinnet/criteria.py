@@ -223,8 +223,9 @@ def pinned_operator(g: Graph, sigma: float, kappa: float, pinned) -> SymMatrix:
     finiteness (sigma deg_i can overflow) is made."""
     _check_gains(sigma, kappa)
     pins = list(_check_pins(pinned, g.num_nodes))
-    arr = sigma * laplacian(g).array
-    arr[pins, pins] += kappa
+    with np.errstate(over="ignore"):  # an overflow is reported by the finiteness check
+        arr = sigma * laplacian(g).array
+        arr[pins, pins] += kappa
     return SymMatrix._exact(arr)
 
 

@@ -35,7 +35,12 @@ positive definite matrix the criteria carry.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,7 @@ from .spectral import _pow2_scaled, spectral_norm
 
 OVERFLOW_GUARD = 1e12
 HORIZON_RTOL = 1e-9
+MIN_ROWS_PER_WORKER = 4096
 
 
 @dataclass(frozen=True)
@@ -309,18 +315,57 @@ def check_decay(traj: Trajectory) -> DecayReport:
     return DecayReport(ok=ok, atol=atol, violations=violations)
 
 
+def _workers(n_rows: int) -> int:
+    """Export ranges: one per usable CPU, each of MIN_ROWS_PER_WORKER rows or more, or one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min((cpus or 1) if hasattr(os, "fork") else 1, n_rows // MIN_ROWS_PER_WORKER))
+
+
+def _write_rows(fh, traj: Trajectory, lo: int, hi: int) -> None:
+    """Samples lo..hi-1 into the binary file fh, one filled row template per sample."""
+    template = "".join(f"\0,{i},{c},%r,%r,\1\r\n" for i, c in np.ndindex(traj.states.shape[1:]))
+    for t, v, x, e in zip(traj.times[lo:hi].tolist(), traj.lyapunov[lo:hi].tolist(),
+                          traj.states[lo:hi], traj.errors[lo:hi]):
+        xe = np.stack((x, e), axis=-1).ravel().tolist()
+        fh.write((template.replace("\0", repr(t)).replace("\1", repr(v)) % tuple(xe)).encode())
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export to path, byte for byte what csv.writer writes by default:
     header t,node,component,x,e,V, then rows by sample, node and component,
     each ending in \\r\\n, with t, x, e and V as repr floats (V repeated on
-    each row of its sample). One row template per shape is filled and written
-    once per sample, so no trajectory-sized buffer is held."""
-    template = "".join(f"\0,{i},{c},%r,%r,\1\r\n" for i, c in np.ndindex(traj.states.shape[1:]))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,node,component,x,e,V\r\n")
-        for t, v, x, e in zip(traj.times.tolist(), traj.lyapunov.tolist(), traj.states, traj.errors):
-            xe = np.stack((x, e), axis=-1).ravel().tolist()
-            fh.write(template.replace("\0", repr(t)).replace("\1", repr(v)) % tuple(xe))
+    each row of its sample). The samples are cut into _workers(rows) ranges:
+    this process writes the first, forked workers the rest to temporary files
+    it appends in order, so the bytes do not depend on the count. A failed
+    worker raises OSError; on any exception every worker is killed and reaped."""
+    cuts = np.linspace(0, traj.times.shape[0], _workers(traj.states.size) + 1).astype(int).tolist()
+    children = []
+    with contextlib.ExitStack() as parts:
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                part = parts.enter_context(tempfile.TemporaryFile())
+                if (pid := os.fork()) == 0:  # a worker ends in os._exit on every path,
+                    try:  # so it flushes no buffer inherited from this process
+                        _write_rows(part, traj, lo, hi)
+                        part.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                children.append((pid, part))
+            with open(path, "wb") as fh:
+                fh.write(b"t,node,component,x,e,V\r\n")
+                _write_rows(fh, traj, 0, cuts[1])
+                while children:
+                    code = os.waitstatus_to_exitcode(os.waitpid(children[0][0], 0)[1])
+                    part = children.pop(0)[1]
+                    if code:
+                        raise OSError(f"a trajectory CSV worker exited with status {code}")
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh)
+        finally:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

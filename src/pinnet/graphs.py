@@ -336,10 +336,9 @@ def complete_graph(n: int) -> Graph:
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) sample from a seeded generator (deterministic)."""
     rng = np.random.default_rng(seed)
-    edges = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-    )
-    return Graph(n, edges)
+    iu, ju = np.triu_indices(n, 1)  # pairs in row order, one draw each, as a per-pair loop draws
+    keep = rng.random(iu.size) < p
+    return Graph(n, np.stack((iu[keep], ju[keep]), axis=1))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

@@ -23,6 +23,7 @@ from pinnet import (
     to_edge_list,
 )
 from pinnet.cli import main
+from pinnet.dynamics import MIN_ROWS_PER_WORKER
 
 from helpers import break_eigh, break_eigvalsh, no_convergence, scalar_spec
 
@@ -724,6 +725,48 @@ def test_spectrum_bytes_stable_per_thread_count(tmp_path):
         assert len(json.loads(out)["spectrum_pinned"]) == 300
         outputs.setdefault(threads, set()).add(out)
     assert all(len(outs) == 1 for outs in outputs.values())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
+def test_simulate_csv_bytes_stable_per_cpu_affinity(tmp_path, graph_file):
+    # 301 samples of 40 nodes: the export forks one worker per usable CPU, so an
+    # unpinned run on two or more CPUs writes its ranges in parallel
+    sim = {"t0": 0.0, "t_end": 3.0, "dt": 0.01, "x0": {"seed": 5}, "s0": [0.2]}
+    doc = config_doc(graph_file(erdos_renyi(40, 0.2, seed=2), "er40.txt"), 1.0, 20.0, [0],
+                     {"kind": "scalar_saturated", "a": 0.2, "b": 0.1}, sim=sim)
+    cfg = write_config(tmp_path, doc)
+    cpus = os.sched_getaffinity(0)
+    assert pinnet.dynamics._workers(40 * 301) == min(len(cpus), 40 * 301 // MIN_ROWS_PER_WORKER)
+    src = str(Path(pinnet.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        csvs = []
+        for pinned in (True, False):
+            out_csv = tmp_path / f"{threads}-{pinned}.csv"
+            argv = ["simulate", cfg, "--out", str(out_csv), "--json"]
+            done = subprocess.run(
+                [sys.executable, "-m", "pinnet.cli", *argv],
+                env=env, capture_output=True, check=True, timeout=120,
+                preexec_fn=(lambda: os.sched_setaffinity(0, {min(cpus)})) if pinned else None,
+            )
+            assert done.stderr == b""
+            assert strict_json(done.stdout.decode())["csv"] == str(out_csv)  # one document
+            csvs.append(out_csv.read_bytes())
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\r\n") == 1 + 40 * 301
+
+
+@pytest.mark.parametrize("gains", [["--sigma", "1e308", "--kappa", "1"],
+                                   ["--sigma", "8e307", "--kappa", "1.5e308", "--pinned", "1"]])
+def test_spectrum_overflowing_operator_reports_only_the_finiteness_error(graph_file, capsys, gains):
+    # sigma deg_i, or sigma deg_i + kappa, overflows: the finiteness check is the one
+    # report, numpy warns of nothing
+    path = graph_file(path_graph(3), "p3.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectrum", path, *gains, "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: matrix entries must be finite\n")
 
 
 @pytest.mark.parametrize("x0", [[[0.1], [float("nan")], [0.3]], [[0.1], [0.2]]])

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -25,7 +27,8 @@ from pinnet import (
     trajectory_summary,
     write_trajectory_csv,
 )
-from pinnet.dynamics import OVERFLOW_GUARD, _derivative
+from pinnet import dynamics
+from pinnet.dynamics import MIN_ROWS_PER_WORKER, OVERFLOW_GUARD, _derivative
 
 from helpers import scalar_spec
 
@@ -570,6 +573,70 @@ def test_csv_edge_values_match_nested_loop_reference(name, tmp_path):
     with open(tmp_path / "want.csv", "w", newline="") as fh:
         reference_csv(traj, fh)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, "past-samples"])
+@pytest.mark.parametrize("name", sorted(ALL_CONFIGS) + sorted(EDGE_TRAJECTORIES))
+def test_csv_bytes_do_not_depend_on_the_worker_count(name, workers, tmp_path, monkeypatch):
+    traj = EDGE_TRAJECTORIES[name]() if name in EDGE_TRAJECTORIES else simulate(ALL_CONFIGS[name]())
+    if workers == "past-samples":  # more workers than samples; 4 samples keep the fork count small
+        traj = Trajectory(*(a[:4] for a in arrays_of(traj)), traj.diverged_at)
+        workers = traj.times.shape[0] + 2
+    monkeypatch.setattr(dynamics, "_workers", lambda n_rows: workers)
+    write_trajectory_csv(traj, tmp_path / "got.csv")
+    assert_no_child_left()
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        reference_csv(traj, fh)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_csv_workers_one_per_cpu_with_a_minimum_of_rows(monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert dynamics._workers(MIN_ROWS_PER_WORKER - 1) == 1
+    assert dynamics._workers(3 * MIN_ROWS_PER_WORKER) == min(cpus, 3)
+    assert dynamics._workers(10**9) == cpus
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert dynamics._workers(10**9) == 1
+
+
+def failing_rows(fails):
+    """_write_rows that raises for the ranges fails(lo) picks (lo = 0 is the caller's own)."""
+    write_rows = dynamics._write_rows
+
+    def rows(fh, traj, lo, hi):
+        if fails(lo):
+            raise RuntimeError(f"injected failure at sample {lo}")
+        write_rows(fh, traj, lo, hi)
+    return rows
+
+
+def test_csv_failure_in_the_callers_range_kills_every_worker(tmp_path, monkeypatch):
+    traj = simulate(ALL_CONFIGS["n3-linear"]())
+    # a worker that were not killed would sleep far past the time allowed below
+    write_rows = failing_rows(lambda lo: lo == 0)
+    monkeypatch.setattr(dynamics, "_write_rows",
+                        lambda fh, t, lo, hi: time.sleep(60) if lo else write_rows(fh, t, lo, hi))
+    monkeypatch.setattr(dynamics, "_workers", lambda n_rows: 3)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="at sample 0"):
+        write_trajectory_csv(traj, tmp_path / "got.csv")
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_csv_worker_failure_raises_oserror(tmp_path, monkeypatch, capfd):
+    traj = simulate(ALL_CONFIGS["n3-linear"]())
+    monkeypatch.setattr(dynamics, "_write_rows", failing_rows(lambda lo: lo > 0))
+    monkeypatch.setattr(dynamics, "_workers", lambda n_rows: 3)
+    with pytest.raises(OSError, match="worker exited with status 1"):
+        write_trajectory_csv(traj, tmp_path / "got.csv")
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")  # the worker prints no traceback and flushes nothing
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))

@@ -13,6 +13,7 @@ from pinnet import (
     degrees,
     disjoint_union,
     eig_sym,
+    erdos_renyi,
     incidence,
     is_connected,
     laplacian,
@@ -218,3 +219,26 @@ def test_vectorized_assembly_matches_edge_loop(g):
     assert np.array_equal(incidence(g).entries, inc)
     assert degrees(g).dtype == np.int64
     assert np.array_equal(degrees(g), np.diag(lap))
+
+
+def loop_erdos_renyi(n, p, seed):
+    """The per-pair reference: one rng.random() per pair (i, j), i < j, in row order."""
+    rng = np.random.default_rng(seed)
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p))
+
+
+@pytest.mark.parametrize("n, p, seed", [(400, 10 / 399, 3), (150, 0.08, 1), (120, 0.08, 7),
+                                        (30, 0.3, 3), (1, 0.5, 0), (2, 1.0, 0), (2, 0.0, 0),
+                                        (9, 0.0, 4), (9, 1.0, 4), (1, 1.0, 5)])
+def test_erdos_renyi_matches_per_pair_loop(n, p, seed):
+    g = erdos_renyi(n, p, seed=seed)
+    assert g == loop_erdos_renyi(n, p, seed)
+    assert g.num_edges == {0.0: 0, 1.0: n * (n - 1) // 2}.get(p, g.num_edges)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_erdos_renyi_without_nodes_raises_as_the_loop_does(n):
+    with pytest.raises(ValidationError) as loop_err:
+        loop_erdos_renyi(n, 0.5, 0)
+    with pytest.raises(ValidationError, match=str(loop_err.value)):
+        erdos_renyi(n, 0.5, seed=0)
