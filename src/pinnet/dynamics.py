@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import pathlib
 import shutil
 import signal
 import tempfile
@@ -53,6 +54,8 @@ from .spectral import _pow2_scaled, spectral_norm
 OVERFLOW_GUARD = 1e12
 HORIZON_RTOL = 1e-9
 MIN_ROWS_PER_WORKER = 4096
+MAX_WORKERS = 2
+CGROUP = pathlib.Path("/sys/fs/cgroup")
 
 
 @dataclass(frozen=True)
@@ -315,10 +318,24 @@ def check_decay(traj: Trajectory) -> DecayReport:
     return DecayReport(ok=ok, atol=atol, violations=violations)
 
 
+def _quota_cpus(cpus: int) -> int:
+    """cpus, or the whole CPUs a cgroup CPU quota grants where fewer (at least one): v2
+    cpu.max, else v1 cpu.cfs_quota_us over cpu.cfs_period_us; cpus where none can be read."""
+    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        with contextlib.suppress(OSError, ValueError):
+            quota, period = (int(w) for n in names for w in (CGROUP / n).read_text().split())
+            return min(cpus, max(1, quota // period)) if quota > 0 else cpus
+    return cpus
+
+
 def _workers(n_rows: int) -> int:
-    """Export ranges: one per usable CPU, each of MIN_ROWS_PER_WORKER rows or more, or one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min((cpus or 1) if hasattr(os, "fork") else 1, n_rows // MIN_ROWS_PER_WORKER))
+    """Export ranges: one per usable CPU (affinity and cgroup quota) up to MAX_WORKERS, each of
+    MIN_ROWS_PER_WORKER rows or more; one without os.fork, or where SIGCHLD is not at its
+    default (another reaper may run)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    forks = hasattr(os, "fork") and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
+    cpus = _quota_cpus(cpus) if forks else 1
+    return max(1, min(cpus, MAX_WORKERS, n_rows // MIN_ROWS_PER_WORKER))
 
 
 def _write_rows(fh, traj: Trajectory, lo: int, hi: int) -> None:
@@ -334,34 +351,42 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export to path, byte for byte what csv.writer writes by default:
     header t,node,component,x,e,V, then rows by sample, node and component,
     each ending in \\r\\n, with t, x, e and V as repr floats (V repeated on
-    each row of its sample). The samples are cut into _workers(rows) ranges:
-    this process writes the first, forked workers the rest to temporary files
-    it appends in order, so the bytes do not depend on the count. A failed
-    worker raises OSError; on any exception every worker is killed and reaped."""
-    cuts = np.linspace(0, traj.times.shape[0], _workers(traj.states.size) + 1).astype(int).tolist()
-    children = []
-    with contextlib.ExitStack() as parts:
+    each row of its sample). It forks and reaps its own workers: of the
+    _workers(rows) sample ranges it writes the first, and one worker per later
+    range writes an unnamed temporary file beside path (one range if none can
+    be made there), appended in order. A failed worker raises OSError with its
+    errno; any exception kills and reaps every worker before it propagates."""
+    with open(path, "wb") as fh, contextlib.ExitStack() as parts:
+        cuts = np.linspace(0, traj.times.shape[0], _workers(traj.states.size) + 1).astype(int).tolist()
         try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                part = parts.enter_context(tempfile.TemporaryFile())
+            folder = os.path.dirname(os.path.abspath(path))
+            files = [parts.enter_context(tempfile.TemporaryFile(dir=folder)) for _ in cuts[2:]]
+        except OSError:
+            files, cuts = [], [0, cuts[-1]]
+        children = []
+        try:
+            for lo, hi, part in zip(cuts[1:-1], cuts[2:], files):
                 if (pid := os.fork()) == 0:  # a worker ends in os._exit on every path,
                     try:  # so it flushes no buffer inherited from this process
                         _write_rows(part, traj, lo, hi)
                         part.flush()
                         os._exit(0)
+                    except OSError as exc:
+                        os._exit(min(exc.errno or 255, 255))
                     finally:
-                        os._exit(1)
+                        os._exit(255)
                 children.append((pid, part))
-            with open(path, "wb") as fh:
-                fh.write(b"t,node,component,x,e,V\r\n")
-                _write_rows(fh, traj, 0, cuts[1])
-                while children:
-                    code = os.waitstatus_to_exitcode(os.waitpid(children[0][0], 0)[1])
-                    part = children.pop(0)[1]
-                    if code:
-                        raise OSError(f"a trajectory CSV worker exited with status {code}")
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh)
+            fh.write(b"t,node,component,x,e,V\r\n")
+            _write_rows(fh, traj, 0, cuts[1])
+            while children:
+                code = os.waitstatus_to_exitcode(os.waitpid(children[0][0], 0)[1])
+                part = children.pop(0)[1]
+                if 0 < code < 255:
+                    raise OSError(code, os.strerror(code))
+                if code:
+                    raise OSError(f"a trajectory CSV worker exited with status {code}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
         finally:
             for pid, _ in children:
                 os.kill(pid, signal.SIGKILL)

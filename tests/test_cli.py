@@ -23,7 +23,7 @@ from pinnet import (
     to_edge_list,
 )
 from pinnet.cli import main
-from pinnet.dynamics import MIN_ROWS_PER_WORKER
+from pinnet.dynamics import MAX_WORKERS, MIN_ROWS_PER_WORKER
 
 from helpers import break_eigh, break_eigvalsh, no_convergence, scalar_spec
 
@@ -729,14 +729,17 @@ def test_spectrum_bytes_stable_per_thread_count(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
 def test_simulate_csv_bytes_stable_per_cpu_affinity(tmp_path, graph_file):
-    # 301 samples of 40 nodes: the export forks one worker per usable CPU, so an
-    # unpinned run on two or more CPUs writes its ranges in parallel
+    # 301 samples of 40 nodes: the export forks a worker per usable CPU (affinity and any
+    # cgroup CPU quota, up to MAX_WORKERS), so an unpinned run on two or more CPUs writes its
+    # ranges in parallel
     sim = {"t0": 0.0, "t_end": 3.0, "dt": 0.01, "x0": {"seed": 5}, "s0": [0.2]}
     doc = config_doc(graph_file(erdos_renyi(40, 0.2, seed=2), "er40.txt"), 1.0, 20.0, [0],
                      {"kind": "scalar_saturated", "a": 0.2, "b": 0.1}, sim=sim)
     cfg = write_config(tmp_path, doc)
     cpus = os.sched_getaffinity(0)
-    assert pinnet.dynamics._workers(40 * 301) == min(len(cpus), 40 * 301 // MIN_ROWS_PER_WORKER)
+    usable = pinnet.dynamics._quota_cpus(len(cpus))
+    workers = min(usable, MAX_WORKERS, 40 * 301 // MIN_ROWS_PER_WORKER)
+    assert pinnet.dynamics._workers(40 * 301) == workers
     src = str(Path(pinnet.__file__).resolve().parents[1])
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

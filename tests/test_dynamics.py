@@ -1,7 +1,10 @@
 import csv
 import dataclasses
+import errno
 import math
 import os
+import signal
+import tempfile
 import time
 import warnings
 
@@ -28,7 +31,7 @@ from pinnet import (
     write_trajectory_csv,
 )
 from pinnet import dynamics
-from pinnet.dynamics import MIN_ROWS_PER_WORKER, OVERFLOW_GUARD, _derivative
+from pinnet.dynamics import MAX_WORKERS, MIN_ROWS_PER_WORKER, OVERFLOW_GUARD, _derivative
 
 from helpers import scalar_spec
 
@@ -595,13 +598,92 @@ def test_csv_bytes_do_not_depend_on_the_worker_count(name, workers, tmp_path, mo
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_csv_workers_one_per_cpu_with_a_minimum_of_rows(monkeypatch):
+def test_csv_workers_one_per_cpu_up_to_the_cap(monkeypatch, tmp_path):
+    monkeypatch.setattr(dynamics, "CGROUP", tmp_path)  # no CPU quota
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert dynamics._workers(MIN_ROWS_PER_WORKER - 1) == 1
-    assert dynamics._workers(3 * MIN_ROWS_PER_WORKER) == min(cpus, 3)
-    assert dynamics._workers(10**9) == cpus
+    assert dynamics._workers(3 * MIN_ROWS_PER_WORKER) == min(cpus, MAX_WORKERS, 3)
+    assert dynamics._workers(10**9) == min(cpus, MAX_WORKERS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert dynamics._workers(10**9) == MAX_WORKERS  # more CPUs than measured: the cap holds
     monkeypatch.delattr(os, "fork", raising=False)
     assert dynamics._workers(10**9) == 1
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "150000 100000\n"}, 1),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu.max": "400000 100000\n"}, 4),
+    ({"cpu.max": "1600000 100000\n"}, 8),
+    ({"cpu.max": "max 100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "200000\n"}, 8),
+    ({}, 8),
+])
+def test_csv_workers_follow_the_cgroup_cpu_quota(files, cpus, tmp_path, monkeypatch):
+    # a quota of 1.5 CPUs on an 8-CPU host is one CPU's time: two ranges would share it
+    (tmp_path / "cpu").mkdir()
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(dynamics, "CGROUP", tmp_path)
+    assert dynamics._quota_cpus(8) == cpus
+    if cpus == 1:
+        assert dynamics._workers(10**9) == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="needs SIGCHLD")
+@pytest.mark.parametrize("handler", [signal.SIG_IGN, lambda signum, frame: None])
+def test_csv_is_one_range_where_another_reaper_may_run(handler, tmp_path):
+    # with SIGCHLD ignored the kernel reaps workers itself, so waiting on one would raise
+    # ChildProcessError; a handler may reap them too: the export then forks nothing
+    n3 = simulate(ALL_CONFIGS["n3-linear"]())
+    reps = -(-2 * MIN_ROWS_PER_WORKER // n3.states.size)
+    traj = Trajectory(*(np.concatenate([a] * reps) for a in arrays_of(n3)), None)
+    previous = signal.signal(signal.SIGCHLD, handler)
+    try:
+        assert dynamics._workers(traj.states.size) == 1
+        write_trajectory_csv(traj, tmp_path / "got.csv")
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        reference_csv(traj, fh)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_csv_parts_are_made_beside_the_target(tmp_path, monkeypatch):
+    traj = simulate(ALL_CONFIGS["n3-linear"]())
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        made.append(kwargs.get("dir"))
+        return temporary_file(*args, **kwargs)
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    monkeypatch.setattr(dynamics, "_workers", lambda n_rows: 3)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    write_trajectory_csv(traj, os.path.join("sub", "got.csv"))
+    assert made == [str(tmp_path / "sub")] * 2
+    assert_no_child_left()
+
+
+def test_csv_is_one_range_where_no_part_can_be_made(tmp_path, monkeypatch):
+    # a target in a directory that takes no new file (a device, a read-only folder) still exports
+    traj = simulate(ALL_CONFIGS["n3-linear"]())
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    def no_fork():
+        raise AssertionError("forked with no part file")
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(dynamics, "_workers", lambda n_rows: 3)
+    write_trajectory_csv(traj, tmp_path / "got.csv")
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        reference_csv(traj, fh)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def failing_rows(fails):
@@ -633,10 +715,28 @@ def test_csv_worker_failure_raises_oserror(tmp_path, monkeypatch, capfd):
     traj = simulate(ALL_CONFIGS["n3-linear"]())
     monkeypatch.setattr(dynamics, "_write_rows", failing_rows(lambda lo: lo > 0))
     monkeypatch.setattr(dynamics, "_workers", lambda n_rows: 3)
-    with pytest.raises(OSError, match="worker exited with status 1"):
+    with pytest.raises(OSError, match="worker exited with status 255") as raised:
         write_trajectory_csv(traj, tmp_path / "got.csv")
+    assert raised.value.errno is None  # not an errno: the failure was no OSError
     assert_no_child_left()
     assert capfd.readouterr() == ("", "")  # the worker prints no traceback and flushes nothing
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EIO])
+def test_csv_worker_oserror_keeps_its_errno(code, tmp_path, monkeypatch):
+    traj = simulate(ALL_CONFIGS["n3-linear"]())
+    write_rows = dynamics._write_rows
+
+    def rows(fh, t, lo, hi):
+        if lo:
+            raise OSError(code, os.strerror(code))
+        write_rows(fh, t, lo, hi)
+    monkeypatch.setattr(dynamics, "_write_rows", rows)
+    monkeypatch.setattr(dynamics, "_workers", lambda n_rows: 3)
+    with pytest.raises(OSError) as raised:
+        write_trajectory_csv(traj, tmp_path / "got.csv")
+    assert (raised.value.errno, raised.value.strerror) == (code, os.strerror(code))
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
