@@ -24,7 +24,7 @@ for name, g in graphs.items():
     print(
         f"{name:>14} {g.num_nodes:>6} {g.num_edges:>6} "
         f"{str(pn.is_connected(g)):>10} "
-        f"{pn.lambda_min_gt0(lap):>12.6f} {pn.lambda_max(lap):>10.4f}"
+        f"{pn.pinned_lambda_min_gt0(g, 1.0, 0.0, ()):>12.6f} {pn.lambda_max(lap):>10.4f}"
     )
 
 print()

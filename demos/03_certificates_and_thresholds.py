@@ -41,7 +41,7 @@ print(f"  {'kappa':>10} {'bound':>12} {'exact':>12} {'bound>=rhs':>11} {'exact>=
 for kappa in (6.0, 15.0, kthr, 2 * kthr):
     s = scalar_spec(g, 1.0, float(kappa), (0,), 0.5)
     bound = pn.iterative_bound(s)
-    exact = pn.lambda_min_gt0(pn.pinned_operator(g, 1.0, float(kappa), (0,)))
+    exact = pn.pinned_lambda_min_gt0(g, 1.0, float(kappa), (0,))
     print(
         f"  {kappa:>10.3f} {bound:>12.6f} {exact:>12.6f} "
         f"{str(bound >= 0.5):>11} {str(exact >= 0.5):>11}"
@@ -55,7 +55,7 @@ print("case 2: path P3, pin node 0, f_bound = 0.5")
 g = pn.path_graph(3)
 print("  the exact eigenvalue saturates as kappa grows:")
 for kappa in (3.0, 10.0, 100.0, 1e5):
-    exact = pn.lambda_min_gt0(pn.pinned_operator(g, 1.0, float(kappa), (0,)))
+    exact = pn.pinned_lambda_min_gt0(g, 1.0, float(kappa), (0,))
     print(f"    kappa = {kappa:>8.0f}: lambda_min>0 = {exact:.6f}")
 grounded = np.linalg.eigvalsh(pn.laplacian(g).array[1:, 1:]).min()
 print(f"  saturation level (grounded sub-Laplacian): {grounded:.6f} < rhs 0.5")

@@ -24,6 +24,7 @@ from .criteria import (
     evaluate,
     iterative_bound,
     kappa_threshold,
+    pinned_lambda_min_gt0,
     pinned_operator,
     rhs_threshold,
     sigma_lambda_min_gt0,
@@ -56,6 +57,7 @@ from .graphs import (
     Graph,
     IncidenceMatrix,
     complete_graph,
+    component_roots,
     connected_components,
     cycle_graph,
     degrees,
@@ -83,7 +85,6 @@ from .spectral import (
     Spectrum,
     SymMatrix,
     as_sym_matrix,
-    default_rank_tol,
     eig_sym,
     eig_values,
     lambda_max,

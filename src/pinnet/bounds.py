@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGapError, ValidationError
-from .spectral import SymMatrix, _numerical_rank, eig_sym, eig_values
+from .errors import DegenerateGapError, NoNonzeroEigenvalueError, NotPSDError, ValidationError
+from .spectral import SymMatrix, eig_sym, eig_values
 
 GAP_RTOL = 1e-12
+RANK_RTOL = 1e-9
 
 
 class BoundKind(enum.Enum):
@@ -144,6 +145,21 @@ def arrow_lower(kind: BoundKind, c: float, lam_r: float, a_sq: float) -> float:
             )
         term = a_sq / eta
     return min(c, lam_r) - term
+
+
+def _numerical_rank(w: np.ndarray) -> int:
+    """Rank r >= 1 of a PSD block from its eigenvalues sorted descending: the
+    count above RANK_RTOL |lambda_max|, the one rank found by tolerance, as an
+    arrow block has no graph. Raises NotPSDError below minus the cutoff and
+    NoNonzeroEigenvalueError if every eigenvalue is within it."""
+    rank_tol = RANK_RTOL * abs(w[0])
+    if w[-1] < -rank_tol:
+        raise NotPSDError(f"matrix is not PSD within tolerance: "
+                          f"lambda_min = {w[-1]:.3e} < -{rank_tol:.3e}")
+    r = int((w > rank_tol).sum())
+    if r == 0:
+        raise NoNonzeroEigenvalueError(f"no eigenvalue above rank tolerance {rank_tol:.3e}")
+    return r
 
 
 def _lower_report(kind: BoundKind, arr: ArrowMatrix) -> BoundReport:

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import criteria, dynamics, selection
 from .bounds import BoundKind, arrow_lower
+from .criteria import pinned_lambda_min_gt0
 from .errors import DegenerateGapError, PinnetError, PreconditionError, ValidationError
-from .graphs import Graph, _int_text, degrees, is_connected, laplacian, parse_edge_list
-from .spectral import SymMatrix, eig_values, lambda_min_gt0, lambda_min_gt0_sorted
+from .graphs import Graph, _int_text, component_roots, degrees, laplacian, parse_edge_list
+from .spectral import SymMatrix, eig_values, lambda_min_gt0  # noqa: F401  (benchmark rebinds it)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -200,25 +201,26 @@ def _sim_config_from(cfg: dict, spec, dyn) -> dynamics.SimConfig:
 
 
 def _pinned_spectra(args):
-    """The graph, the pins, and the descending eigenvalues of sigma L + kappa P and of L."""
+    """The graph, its pins and component labels, and the eigenvalues of sigma L + kappa P and L."""
     g = _load_graph(args.graph)
     pinned = _parse_pinned(args.pinned)
     op = criteria.pinned_operator(g, args.sigma, args.kappa, pinned)
-    return g, pinned, eig_values(op), eig_values(laplacian(g))
+    return g, pinned, component_roots(g), eig_values(op), eig_values(laplacian(g))
 
 
 def cmd_spectrum(args) -> int:
-    g, pinned, op_w, lap_w = _pinned_spectra(args)
+    g, pinned, roots, op_w, lap_w = _pinned_spectra(args)
     payload = {
         "num_nodes": g.num_nodes,
         "num_edges": g.num_edges,
-        "connected": is_connected(g),
-        "lambda_min_gt0_laplacian": lambda_min_gt0_sorted(lap_w),
+        "connected": not roots.any(),
+        "lambda_min_gt0_laplacian": pinned_lambda_min_gt0(g, 1.0, 0.0, (), roots, lap_w),
         "lambda_max_laplacian": float(lap_w[0]),
         "sigma": args.sigma,
         "kappa": args.kappa,
         "pinned": list(pinned),
-        "lambda_min_gt0_pinned": lambda_min_gt0_sorted(op_w),
+        "lambda_min_gt0_pinned": pinned_lambda_min_gt0(g, args.sigma, args.kappa, pinned, roots,
+                                                       op_w),
     }
     lines = [
         f"nodes: {g.num_nodes}  edges: {g.num_edges}  connected: {payload['connected']}",
@@ -239,7 +241,7 @@ _STEP_BOUNDS = {"lili": BoundKind.SMALLEST_NONZERO_LOWER, "weyl": BoundKind.WEYL
                 "mathias": BoundKind.MATHIAS_LOWER}
 
 
-def _step_rows(g, sigma, kappa, pinned, s, exact):
+def _step_rows(g, roots, sigma, kappa, pinned, s, exact):
     """Per pin append: the arrow lower bounds and the exact lambda_min>0 after it.
 
     s and exact are lambda_min>0 before the first and after the last append.
@@ -248,7 +250,7 @@ def _step_rows(g, sigma, kappa, pinned, s, exact):
     units of 2^(2e), so they neither underflow nor overflow at extreme scales.
     """
     deg = degrees(g)
-    mus = [lambda_min_gt0(criteria.pinned_operator(g, sigma, kappa, pinned[:k]))
+    mus = [pinned_lambda_min_gt0(g, sigma, kappa, pinned[:k], roots)
            for k in range(1, len(pinned))] + [exact]
     _, e = math.frexp(s)
     sigma_u, kappa_u = math.ldexp(sigma, -e), math.ldexp(kappa, -e)
@@ -267,10 +269,10 @@ def _step_rows(g, sigma, kappa, pinned, s, exact):
 
 
 def cmd_bounds(args) -> int:
-    g, pinned, op_w, lap_w = _pinned_spectra(args)
+    g, pinned, roots, op_w, lap_w = _pinned_spectra(args)
     sigma, kappa = args.sigma, args.kappa
-    exact = lambda_min_gt0_sorted(op_w)
-    s = sigma * lambda_min_gt0_sorted(lap_w)
+    exact = pinned_lambda_min_gt0(g, sigma, kappa, pinned, roots, op_w)
+    s = sigma * pinned_lambda_min_gt0(g, 1.0, 0.0, (), roots, lap_w)
     deg = degrees(g)
     payload = {
         "sigma": sigma,
@@ -297,7 +299,7 @@ def cmd_bounds(args) -> int:
         lines.append(
             f"iterative bound = {_fmt(bound)}   slack = {_fmt(exact - bound)}"
         )
-    rows = _step_rows(g, sigma, kappa, pinned, s, exact)
+    rows = _step_rows(g, roots, sigma, kappa, pinned, s, exact)
     payload["steps"] = rows
     if rows:
         lines.append("per-step bounds (from the column-append sequence):")
@@ -376,7 +378,11 @@ def cmd_simulate(args) -> int:
     report = criteria.evaluate(spec)
     traj = dynamics.simulate(config)
     if args.out:
-        dynamics.write_trajectory_csv(traj, args.out)
+        try:
+            dynamics.write_trajectory_csv(traj, args.out)
+        except OSError as exc:  # a full disk, or a worker's errno
+            raise ValidationError(
+                f"cannot write trajectory CSV {args.out}: {exc.strerror or exc}") from exc
     summary = {
         **dynamics.trajectory_summary(traj),
         "diverged": traj.diverged_at is not None,

@@ -35,14 +35,15 @@ sum deg_i) as kappa grows, so a positive certificate needs the pinned degree
 sum to stay below the algebraic connectivity; kappa_threshold reports when
 that fails.
 
-Every verdict needs a pin in each connected component. A component without
-one keeps its consensus zero mode, which lambda_min>0 skips, so its error
-never decays however large the exact value reads; both verdicts are then
-False, with the component named in reasons["unpinned_component"], and
-kappa_threshold is undefined. The exact verdict also needs sigma L + kappa P
-positive definite: with every component pinned but kappa within the rank
-tolerance (kappa = 0 is no control at all), lambda_min>0 skips the undamped
-smallest eigenvalue too, and reasons["singular_operator"] reports it.
+The graph fixes which eigenvalues are zero, no tolerance does: x^T (sigma L
++ kappa P) x = sigma sum_edges (x_i - x_j)^2 + kappa sum_pinned x_i^2, so one
+eigenvalue is zero per component without a pin (per component at kappa = 0),
+and pinned_lambda_min_gt0 reads lambda_min>0 as the next one up.
+Every verdict needs a pin in each component: one without keeps its zero
+mode, so its error never decays however large the exact value reads; both
+verdicts are then False, reasons["unpinned_component"] names it, and
+kappa_threshold is undefined. The exact verdict also needs kappa > 0, else
+reasons["singular_operator"].
 
 Each spectral quantity is computed once per spec: sigma lambda_min>0(L),
 lambda_min and norm of QB + B^T Q^T, and ||Q|| are memoised on it at first
@@ -60,15 +61,8 @@ import numpy as np
 
 from .bounds import lili_term
 from .errors import PinnetError, PreconditionError, ThresholdUndefinedError, ValidationError
-from .graphs import Graph, _index, connected_components, degrees, laplacian
-from .spectral import (
-    SymMatrix,
-    as_sym_matrix,
-    eig_values,
-    lambda_min_gt0,
-    lambda_min_gt0_sorted,
-    spectral_norm,
-)
+from .graphs import Graph, _index, component_roots, degrees, laplacian
+from .spectral import SymMatrix, as_sym_matrix, eig_values, lambda_min_gt0, spectral_norm
 
 EXACT_MARGIN = 1e-12
 STRUCTURAL_TOL = 1e-9
@@ -150,7 +144,8 @@ class PinnedSystemSpec:
 
     @cached_property
     def _sigma_lambda(self) -> float:
-        return self.sigma * lambda_min_gt0(laplacian(self.graph))
+        w = eig_values(laplacian(self.graph))
+        return self.sigma * pinned_lambda_min_gt0(self.graph, 1.0, 0.0, (), self._roots, w)
 
     @cached_property
     def _qb_spectrum(self) -> tuple[float, float]:
@@ -164,17 +159,42 @@ class PinnedSystemSpec:
         return spectral_norm(self.q_matrix.array)
 
     @cached_property
-    def _components(self) -> list[list[int]]:
-        return connected_components(self.graph)
+    def _roots(self) -> np.ndarray:
+        return component_roots(self.graph)
 
     @cached_property
     def _unpinned_reason(self) -> str | None:
         """Names the first component without a pin, or None if every one has one."""
-        unpinned = [c for c in self._components if set(self.pinned).isdisjoint(c)]
-        if not unpinned:
+        unpinned = _unpinned_roots(self._roots, self.pinned)
+        if not len(unpinned):
             return None
         more = f" ({len(unpinned)} components have none)" if len(unpinned) > 1 else ""
-        return f"component {_node_ranges(unpinned[0])} has no pinned node{more}"
+        nodes = np.flatnonzero(self._roots == unpinned[0]).tolist()
+        return f"component {_node_ranges(nodes)} has no pinned node{more}"
+
+
+def _unpinned_roots(roots: np.ndarray, pinned) -> np.ndarray:
+    """Ascending labels (graphs.component_roots) of the components without a pin."""
+    free = roots == np.arange(len(roots))
+    free[roots[list(pinned)]] = False
+    return np.flatnonzero(free)
+
+
+def _zero_modes(roots: np.ndarray, kappa: float, pinned) -> int:
+    """Zero eigenvalues of sigma L + kappa P, per the module docstring."""
+    return len(_unpinned_roots(roots, pinned if kappa > 0 else ()))
+
+
+def pinned_lambda_min_gt0(g: Graph, sigma, kappa, pinned, roots=None, w=None) -> float:
+    """lambda_min>0(sigma L + kappa P), past the zeros g's structure fixes,
+    with no tolerance (sigma 1, kappa 0, no pins: L). roots are g's component
+    labels and w the operator's eigenvalues sorted descending, each computed
+    here when None. Raises NoNonzeroEigenvalueError if every one is a zero."""
+    if roots is None:
+        roots = component_roots(g)
+    if w is None:
+        w = eig_values(pinned_operator(g, sigma, kappa, pinned))
+    return lambda_min_gt0(w, _zero_modes(roots, kappa, pinned))
 
 
 def _node_ranges(nodes: list[int]) -> str:
@@ -338,18 +358,19 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     -STRUCTURAL_TOL ||QB + B^T Q^T||; both tests are unchanged by scaling Q.
     Exact: lambda_min>0(sigma L + kappa P) >= rhs_threshold up to
     EXACT_MARGIN |rhs_threshold|, read with lambda_min(sigma L + kappa P)
-    from one eigensolve; the product form (1/2) lambda_min(sigma L + kappa P)
-    lambda_min(QB + B^T Q^T) vs f_bound ||Q|| is reported beside it and
-    matches the quotient form whenever the pinned operator is positive
-    definite. Individual failures become reasons, not aborts.
+    from one eigensolve, past the zeros the structure fixes; the product form
+    (1/2) lambda_min(sigma L + kappa P) lambda_min(QB + B^T Q^T) vs f_bound
+    ||Q|| is reported beside it and matches the quotient form whenever the
+    pinned operator is positive definite. Individual failures become
+    reasons, not aborts.
 
     verdict_theorem: structural identities hold, the decay condition holds,
     and kappa >= kappa_threshold. verdict_exact: structural identities hold,
-    every connected component has a pin, sigma L + kappa P is positive
-    definite (lambda_min>0 equals lambda_min, so no eigenvalue was skipped as
-    zero), and the exact comparison clears rhs_threshold. The first implies
-    the second by construction of the bound chain; kappa_threshold is
-    undefined when a component has no pin.
+    every connected component has a pin, kappa > 0 (so sigma L + kappa P is
+    positive definite and lambda_min>0 is lambda_min), and the exact
+    comparison clears rhs_threshold. The first implies the second by
+    construction of the bound chain; kappa_threshold is undefined when a
+    component has no pin.
     """
     q = spec.q_matrix.array
     qk = q @ spec.k_matrix
@@ -363,7 +384,7 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     reasons: dict[str, str] = {}
     flags: list[str] = []
 
-    connected = len(spec._components) == 1
+    connected = not spec._roots.any()
     if not connected:
         flags.append("disconnected")
     unpinned = spec._unpinned_reason
@@ -382,7 +403,9 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     def exact_pair():
         rhs_threshold(spec)  # a degenerate QB is the exact step's reason too
         w = eig_values(pinned_operator(spec.graph, spec.sigma, spec.kappa, spec.pinned))
-        return lambda_min_gt0_sorted(w), float(w[-1])
+        exact = pinned_lambda_min_gt0(spec.graph, spec.sigma, spec.kappa, spec.pinned,
+                                      spec._roots, w)
+        return exact, float(w[-1])
 
     s = attempt("sigma_lambda", lambda: sigma_lambda_min_gt0(spec))
     rhs = attempt("rhs_threshold", lambda: rhs_threshold(spec))
@@ -397,20 +420,18 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     verdict_theorem = bool(
         structural_ok and f_ok is True and kthr is not None and spec.kappa >= kthr
     )
-    # lambda_min>0 skipped an eigenvalue: sigma L + kappa P is singular
-    singular = exact is not None and exact_lambda != exact_lambda_min
     if unpinned is not None:
         reasons["unpinned_component"] = unpinned
-    elif singular:
+    elif spec.kappa == 0:
         reasons["singular_operator"] = (
-            f"lambda_min(sigma L + kappa P) = {exact_lambda_min:.6g} is within the rank "
-            "tolerance, so the pinned operator is not positive definite"
+            "lambda_min(sigma L + kappa P) = 0: kappa = 0 leaves every component's "
+            "consensus mode undamped, so the pinned operator is not positive definite"
         )
     verdict_exact = bool(
         structural_ok
         and unpinned is None
+        and spec.kappa > 0
         and exact is not None
-        and not singular
         and exact_lambda >= rhs - EXACT_MARGIN * abs(rhs)
     )
 

@@ -84,9 +84,6 @@ class LinearDynamics:
     linear_part = property(lambda self: self.matrix)
     tanh_gain = None
 
-    def f(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.matrix.T
-
 
 @dataclass(frozen=True)
 class ScalarSaturatedDynamics:
@@ -111,9 +108,6 @@ class ScalarSaturatedDynamics:
 
     linear_part = property(lambda self: np.array([[self.a]]))
     tanh_gain = property(lambda self: self.b)
-
-    def f(self, x: np.ndarray) -> np.ndarray:
-        return self.a * x + self.b * np.tanh(x)
 
 
 NodeDynamics = LinearDynamics | ScalarSaturatedDynamics

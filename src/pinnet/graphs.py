@@ -213,11 +213,11 @@ def degrees(g: Graph) -> np.ndarray:
     return deg
 
 
-def _component_roots(g: Graph) -> np.ndarray:
-    """The smallest node of each node's component, by hooking and pointer
-    jumping: every round hangs the larger root of each edge that joins two
-    trees under the smaller one, then points every node at its root. A root
-    only ever moves to a smaller node, so the rounds end."""
+def component_roots(g: Graph) -> np.ndarray:
+    """Component labels, each node's component's smallest node, by hooking and
+    pointer jumping: every round hangs the larger root of each edge that
+    joins two trees under the smaller one, then points every node at its
+    root. A root only ever moves to a smaller node, so the rounds end."""
     u, v = g._edge_array.T
     root = np.arange(g.num_nodes)
     while True:
@@ -234,13 +234,13 @@ def _component_roots(g: Graph) -> np.ndarray:
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest member."""
     comps: dict[int, list[int]] = {}
-    for node, root in enumerate(_component_roots(g).tolist()):
+    for node, root in enumerate(component_roots(g).tolist()):
         comps.setdefault(root, []).append(node)
     return list(comps.values())
 
 
 def is_connected(g: Graph) -> bool:
-    return not _component_roots(g).any()
+    return not component_roots(g).any()
 
 
 # The edge lines joined by "\n", each two integers in _int_text's rule with

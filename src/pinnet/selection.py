@@ -1,12 +1,14 @@
 """Pinned-node selection: maximize lambda_min(sigma L + kappa P) under a budget.
 
-The objective is 0.0 while a component has no pin, and every reported value
-is a dense eigensolve; the closed-form certificate is a reporting companion,
-not the search metric. Greedy screens its candidates first by the rank-one
-secular equation (pinning one more node adds kappa e_i e_i^T), solved in a
-few passes of rational interpolation, and solves densely only those that
-could win. Exhaustive enumeration is the ground-truth oracle, greedy and
-degree ranking are the cheap heuristics.
+The objective is 0.0 where the structure makes the operator singular
+(criteria._zero_modes), else a dense eigensolve's smallest eigenvalue; the
+closed-form certificate is a reporting companion, not the search metric.
+Objectives within TIE_RTOL (lambda_max + kappa) of the best are tied: twice
+the largest gap the tests measure between the secular screen and a dense
+solve. Greedy scores its candidates by the rank-one secular equation
+(pinning one more node adds kappa e_i e_i^T) and solves densely only its
+pick. Exhaustive enumeration is the ground-truth oracle, greedy and degree
+ranking are the cheap heuristics.
 """
 
 from __future__ import annotations
@@ -17,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import pinned_operator
+from .criteria import _check_pins, _unpinned_roots, _zero_modes, pinned_operator
 from .errors import CombinatorialGuardError, ValidationError
-from .graphs import Graph, _index, connected_components, degrees
-from .spectral import Spectrum, default_rank_tol, eig_sym
-from .spectral import lambda_min_gt0  # noqa: F401  (a module attribute the benchmark's tracer rebinds)
+from .graphs import Graph, _index, component_roots, degrees
+from .spectral import Spectrum, eig_sym, lambda_min_gt0
 
 EXHAUSTIVE_GUARD = 10**6
-# Greedy solves densely every candidate whose secular score is within
-# SCREEN_RTOL (lambda_max + kappa) of the best score.
-SCREEN_RTOL = 1e-8
+TIE_RTOL = 64 * np.finfo(float).eps
 
 GREEDY = "greedy"
 DEGREE = "degree"
@@ -47,20 +46,21 @@ class SelectionResult:
 
 def evaluate_pinning(g: Graph, sigma: float, kappa: float, pinned) -> float:
     """Exact lambda_min(sigma L + kappa P), from the same vector solve as greedy."""
-    return _objective(eig_sym(pinned_operator(g, sigma, kappa, pinned)).eigenvalues)
+    pinned = _check_pins(pinned, g.num_nodes)  # before the labels read them
+    return _solve(g, sigma, kappa, pinned, _zero_modes(component_roots(g), kappa, pinned) > 0)[0]
 
 
-def _objective(w: np.ndarray) -> float:
-    """The last of eigenvalues sorted descending, exactly 0.0 within the rank tolerance."""
-    return 0.0 if abs(w[-1]) <= default_rank_tol(w[0]) else float(w[-1])
+def _solve(g: Graph, sigma: float, kappa: float, pinned, zero: bool):
+    """The objective of a pin set, 0.0 where zero says the structure makes the
+    operator singular, and the spectrum it was read from."""
+    spectrum = eig_sym(pinned_operator(g, sigma, kappa, pinned))
+    return (0.0 if zero else lambda_min_gt0(spectrum.eigenvalues, 0)), spectrum
 
 
 def _check_budget(g: Graph, budget: int) -> int:
     budget = _index(budget, "budget")
     if not 0 <= budget <= g.num_nodes:
-        raise ValidationError(
-            f"budget {budget} must be between 0 and {g.num_nodes}"
-        )
+        raise ValidationError(f"budget {budget} must be between 0 and {g.num_nodes}")
     return budget
 
 
@@ -112,46 +112,37 @@ def _secular_scores(base: Spectrum, kappa: float, nodes) -> np.ndarray:
 def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:
     """Grow the pinned set one node at a time, best exact objective first.
 
-    A candidate replaces the incumbent only if its computed objective is
-    strictly larger, so ties go to the smallest node index only when the
-    computed values are equal; round-off can split an exact tie either way.
-    A round whose objectives all read 0.0 pins the smallest node of the
-    first component with no pin, else the smallest candidate. Deterministic.
-
-    Each round solves the current operator once (the empty set first, then
-    the previous winner's solve is reused) and scores every candidate with
-    _secular_scores. A best score below a quarter of the rank tolerance of
-    s = lambda_max + kappa (each candidate's lambda_max is at least s / 2)
-    makes such a zero round, and only its pick is solved. Otherwise the
-    candidates scoring within SCREEN_RTOL s of the best are solved densely,
-    in index order. Picks, objectives and evaluations are those of solving
-    every candidate densely; ties (complete graphs, cycles) are all solved,
-    so a round costs between 1 and N - k dense solves.
-    """
+    While two or more components have no pin, or at kappa = 0, every
+    objective is 0.0 by structure: the round pins the smallest node of the
+    first component with no pin, else the smallest candidate. Otherwise the
+    candidates are the nodes of the one component without a pin, or all
+    nodes left, scored by _secular_scores on the current operator, and the
+    pick is the smallest whose score is within TIE_RTOL (lambda_max + kappa)
+    of the best, lambda_max the current operator's. Only the pick is solved
+    densely, as the next round's base: budget + 1 dense solves. The picks are
+    the same rule's on dense solves of every candidate, unless one lies
+    within the screen's error (a few ulps of lambda_max + kappa) of the
+    band's edge. Deterministic."""
     budget = _check_budget(g, budget)
-    base = eig_sym(pinned_operator(g, sigma, kappa, ()))
-    best_val = _objective(base.eigenvalues)
+    roots = component_roots(g)
+    unpinned = _unpinned_roots(roots, ()).tolist()  # the components without a pin
+    objective, base = _solve(g, sigma, kappa, (), True)
     chosen: list[int] = []
     evaluations = 0
     for _ in range(budget):
         cands = [i for i in range(g.num_nodes) if i not in chosen]
         evaluations += len(cands)
-        scores = _secular_scores(base, kappa, cands)
-        scale = base.eigenvalues[0] + kappa
-        best_val = 0.0
-        if scores.max() > 0.25 * default_rank_tol(scale):
-            near = scores >= scores.max() - SCREEN_RTOL * scale
-            for cand in itertools.compress(cands, near):
-                spectrum = eig_sym(pinned_operator(g, sigma, kappa, chosen + [cand]))
-                val = _objective(spectrum.eigenvalues)
-                if val > best_val:
-                    best_val, best_node, base = val, cand, spectrum
-        if best_val == 0.0:
-            free = [c for c in connected_components(g) if set(chosen).isdisjoint(c)]
-            best_node = free[0][0] if free else cands[0]
-            base = eig_sym(pinned_operator(g, sigma, kappa, chosen + [best_node]))
-        chosen.append(best_node)
-    return SelectionResult(tuple(chosen), best_val, GREEDY, evaluations)
+        if kappa == 0 or len(unpinned) >= 2:
+            pick = unpinned[0] if unpinned else cands[0]
+        else:
+            cands = np.flatnonzero(roots == unpinned[0]).tolist() if unpinned else cands
+            scores = _secular_scores(base, kappa, cands)
+            band = TIE_RTOL * (base.eigenvalues[0] + kappa)
+            pick = cands[int(np.argmax(scores >= scores.max() - band))]
+        chosen.append(pick)
+        unpinned = [r for r in unpinned if r != roots[pick]]
+        objective, base = _solve(g, sigma, kappa, chosen, kappa == 0 or bool(unpinned))
+    return SelectionResult(tuple(chosen), objective, GREEDY, evaluations)
 
 
 def degree_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:
@@ -160,27 +151,24 @@ def degree_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
     deg = degrees(g)
     order = sorted(range(g.num_nodes), key=lambda i: (-deg[i], i))
     pinned = tuple(order[:budget])
-    objective = evaluate_pinning(g, sigma, kappa, pinned)
-    return SelectionResult(pinned, float(objective), DEGREE, 1)
+    return SelectionResult(pinned, evaluate_pinning(g, sigma, kappa, pinned), DEGREE, 1)
 
 
 def exhaustive_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:
-    """True argmax over all budget-subsets; ties toward the lexicographically
-    smallest subset. Refuses when C(N, budget) exceeds 10^6."""
+    """True argmax over all budget-subsets: the lexicographically smallest
+    subset whose objective is within TIE_RTOL (lambda_max + kappa) of the
+    best, lambda_max the largest of the subsets' operators. Refuses when
+    C(N, budget) exceeds 10^6."""
     budget = _check_budget(g, budget)
     count = math.comb(g.num_nodes, budget)
     if count > EXHAUSTIVE_GUARD:
-        raise CombinatorialGuardError(
-            f"{count} subsets exceed the exhaustive guard of {EXHAUSTIVE_GUARD}",
-            subset_count=count,
-        )
-    best_val = -math.inf
-    best_subset: tuple[int, ...] = ()
-    evaluations = 0
-    for subset in itertools.combinations(range(g.num_nodes), budget):
-        val = evaluate_pinning(g, sigma, kappa, subset)
-        evaluations += 1
-        if val > best_val:
-            best_val = val
-            best_subset = subset
-    return SelectionResult(best_subset, float(best_val), EXHAUSTIVE, evaluations)
+        msg = f"{count} subsets exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
+        raise CombinatorialGuardError(msg, subset_count=count)
+    roots = component_roots(g)
+    vals, top = np.empty(count), 0.0
+    for k, subset in enumerate(itertools.combinations(range(g.num_nodes), budget)):
+        vals[k], spectrum = _solve(g, sigma, kappa, subset, _zero_modes(roots, kappa, subset) > 0)
+        top = max(top, spectrum.eigenvalues[0])
+    best = int(np.argmax(vals >= vals.max() - TIE_RTOL * (top + kappa)))
+    subset = next(itertools.islice(itertools.combinations(range(g.num_nodes), budget), best, None))
+    return SelectionResult(subset, float(vals[best]), EXHAUSTIVE, count)

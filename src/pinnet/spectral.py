@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoNonzeroEigenvalueError, NotPSDError, NumericalError, ValidationError
+from .errors import NoNonzeroEigenvalueError, NumericalError, ValidationError
 
 SYMMETRY_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-9
-RANK_RTOL = 1e-9
 
 
 class SymMatrix:
@@ -156,40 +155,14 @@ def _pow2_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(arr, -exp), exp
 
 
-def default_rank_tol(lam_max: float) -> float:
-    """Relative rank cutoff 1e-9 * |lambda_max|, so scaling M scales it too."""
-    return RANK_RTOL * abs(lam_max)
-
-
-def lambda_min_gt0(m) -> float:
-    """Smallest eigenvalue strictly above the rank tolerance of a PSD matrix."""
-    return lambda_min_gt0_sorted(eig_values(m))
-
-
-def lambda_min_gt0_sorted(w: np.ndarray) -> float:
-    """lambda_min_gt0 read from eigenvalues already sorted descending; raises
-    as _numerical_rank does."""
-    return float(w[_numerical_rank(w) - 1])
-
-
-def _numerical_rank(w: np.ndarray) -> int:
-    """Rank r >= 1 of a PSD matrix from its eigenvalues sorted descending: the
-    count above the rank tolerance default_rank_tol(lambda_max). Raises
-    NotPSDError if an eigenvalue falls below -rank_tol and
-    NoNonzeroEigenvalueError if every eigenvalue is within the tolerance.
-    """
-    rank_tol = default_rank_tol(w[0])
-    if w[-1] < -rank_tol:
-        raise NotPSDError(
-            f"matrix is not PSD within tolerance: lambda_min = {w[-1]:.3e} "
-            f"< -{rank_tol:.3e}"
-        )
-    r = int((w > rank_tol).sum())
-    if r == 0:
-        raise NoNonzeroEigenvalueError(
-            f"no eigenvalue above rank tolerance {rank_tol:.3e}"
-        )
-    return r
+def lambda_min_gt0(w: np.ndarray, zeros: int) -> float:
+    """Smallest nonzero eigenvalue, from eigenvalues sorted descending and the
+    count of zeros the matrix's structure fixes (as pinned_lambda_min_gt0 in
+    criteria counts them), with no tolerance. Raises NoNonzeroEigenvalueError
+    if every one is a zero."""
+    if zeros >= len(w):
+        raise NoNonzeroEigenvalueError(f"no nonzero eigenvalue: all {len(w)} are zero by structure")
+    return float(w[-zeros - 1])
 
 
 def lambda_min(m) -> float:

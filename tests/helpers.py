@@ -1,10 +1,10 @@
-"""Shared test utilities: seeded random graphs, a hypothesis graph strategy
-and scalar-case system specs."""
+"""Shared test utilities: seeded random graphs, a hypothesis graph strategy,
+scalar-case system specs and reference node dynamics."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from pinnet import Graph, PinnedSystemSpec, SymMatrix, erdos_renyi, is_connected
+from pinnet import Graph, LinearDynamics, PinnedSystemSpec, SymMatrix, erdos_renyi, is_connected
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -43,6 +43,13 @@ def scalar_spec(graph, sigma, kappa, pinned, f_bound) -> PinnedSystemSpec:
         pinned=tuple(pinned),
         f_bound=f_bound,
     )
+
+
+def node_f(dyn, x: np.ndarray) -> np.ndarray:
+    """The node dynamics f(x) as each family defines it: A x, or a x + b tanh(x)."""
+    if isinstance(dyn, LinearDynamics):
+        return x @ dyn.matrix.T
+    return dyn.a * x + dyn.b * np.tanh(x)
 
 
 def no_convergence(*args, **kwargs):

@@ -15,16 +15,18 @@ from pinnet import (
     ValidationError,
     assemble_arrow,
     eig_sym,
+    eig_values,
     incidence,
-    lambda_min_gt0,
     laplacian,
     lili_lower_max,
     lili_upper_max,
     mathias_lower,
     path_graph,
+    pinned_lambda_min_gt0,
     smallest_nonzero_lower,
     weyl_lower,
 )
+from pinnet.bounds import _numerical_rank
 
 
 def random_arrow(rng, d):
@@ -147,7 +149,7 @@ def test_smallest_nonzero_pinned_laplacian():
     x[0] = math.sqrt(kappa)
     arr = assemble_arrow(x, math.sqrt(sigma) * incidence(g).entries.astype(float))
     rep = smallest_nonzero_lower(arr)  # rank of M inferred: 2 for a connected 3-path
-    exact = lambda_min_gt0(SymMatrix(laplacian(g).array + kappa * np.diag([1.0, 0, 0])))
+    exact = pinned_lambda_min_gt0(g, sigma, kappa, (0,))
     assert rep.exact_value == pytest.approx(exact, abs=1e-9)
     assert rep.bound_value <= exact + 1e-9
 
@@ -191,9 +193,11 @@ def test_rank_cross_check_and_psd_guard():
 @pytest.mark.parametrize("block", [[[-1.0]], [[0.0]], [[2.0, 0.0], [0.0, -3.0]]])
 @pytest.mark.parametrize("bound", [smallest_nonzero_lower, weyl_lower, mathias_lower])
 def test_rank_errors_match_lambda_min_gt0(bound, block):
+    # every arrow bound reads lambda_r by the one rank rule; a graph quantity
+    # counts its zeros by structure instead (criteria._zero_modes)
     m = SymMatrix(block)
     with pytest.raises(PreconditionError) as want:
-        lambda_min_gt0(m)
+        _numerical_rank(eig_values(m))
     with pytest.raises(PreconditionError) as got:
         bound(ArrowMatrix(1.0, np.zeros(m.dim), m))
     assert type(got.value) is type(want.value)

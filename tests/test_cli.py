@@ -727,6 +727,25 @@ def test_spectrum_bytes_stable_per_thread_count(tmp_path):
     assert all(len(outs) == 1 for outs in outputs.values())
 
 
+def test_select_picks_stable_per_thread_count(tmp_path):
+    # at kappa 1e-5 every first-round score lies within 20 ulps of lambda_max +
+    # kappa, so BLAS rounding alone could reorder them; the tie band cannot
+    path = tmp_path / "er250.txt"
+    path.write_text(to_edge_list(erdos_renyi(250, 10 / 249, seed=3)))
+    src = str(Path(pinnet.__file__).resolve().parents[1])
+    picks = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "pinnet.cli", "select", str(path), "--kappa", "1e-5",
+             "--budget", "3", "--json"],
+            env=env, capture_output=True, check=True, timeout=120,
+        ).stdout
+        picks[threads] = json.loads(out)["pinned"]
+    assert picks["1"] == picks["2"] == [0, 1, 2]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
 def test_simulate_csv_bytes_stable_per_cpu_affinity(tmp_path, graph_file):
     # 301 samples of 40 nodes: the export forks a worker per usable CPU (affinity and any
@@ -891,6 +910,38 @@ def test_simulate_unwritable_out_exits_2_before_the_run(tmp_path, graph_file, ca
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: cannot write trajectory CSV {tmp_path / target}")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_simulate_full_disk_exits_2_with_one_line(tmp_path, graph_file, capsys):
+    # the target opens, and every write to it fails with ENOSPC
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
+    code = main(["simulate", cfg, "--out", "/dev/full", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: cannot write trajectory CSV /dev/full: {os.strerror(28)}\n"
+
+
+@pytest.mark.parametrize("error, message", [
+    (OSError(28, os.strerror(28)), os.strerror(28)),
+    (OSError("a trajectory CSV worker exited with status 3"),
+     "a trajectory CSV worker exited with status 3"),
+], ids=["errno", "status"])
+def test_simulate_worker_write_error_exits_2(tmp_path, graph_file, capsys, monkeypatch, error,
+                                             message):
+    # a worker's failure reaches the caller as the OSError write_trajectory_csv raises
+    def fail(traj, target):
+        raise error
+
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
+    cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
+    monkeypatch.setattr(pinnet.dynamics, "write_trajectory_csv", fail)
+    out_csv = tmp_path / "run.csv"
+    code = main(["simulate", cfg, "--out", str(out_csv), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: cannot write trajectory CSV {out_csv}: {message}\n"
 
 
 def test_simulate_unallocatable_horizon_exits_2(tmp_path, graph_file, capsys):

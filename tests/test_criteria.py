@@ -18,19 +18,18 @@ from pinnet import (
     check_decay,
     complete_graph,
     disjoint_union,
+    erdos_renyi,
     evaluate,
     evaluate_pinning,
     iterative_bound,
     kappa_threshold,
     lambda_max,
-    lambda_min_gt0,
-    laplacian,
     path_graph,
     pinned_operator,
     rhs_threshold,
     simulate,
 )
-from pinnet.criteria import EXACT_MARGIN, sigma_lambda_min_gt0
+from pinnet.criteria import EXACT_MARGIN, pinned_lambda_min_gt0, sigma_lambda_min_gt0
 
 from helpers import graphs, random_connected_graph, scalar_spec
 
@@ -201,11 +200,11 @@ def test_iterative_bound_sound_random():
         n = int(rng.integers(5, 25))
         g = random_connected_graph(rng, n, 0.4)
         sigma = float(rng.choice([0.5, 1.0, 2.0]))
-        s = sigma * lambda_min_gt0(__import__("pinnet").laplacian(g))
+        s = sigma * pinned_lambda_min_gt0(g, 1.0, 0.0, ())
         pinned = tuple(sorted(rng.choice(n, size=int(rng.integers(1, 5)), replace=False).tolist()))
         kappa = float(rng.uniform(1.01, 20.0)) * s
         spec = scalar_spec(g, sigma, kappa, pinned, 0.0)
-        exact = lambda_min_gt0(pinned_operator(g, sigma, kappa, pinned))
+        exact = pinned_lambda_min_gt0(g, sigma, kappa, pinned)
         assert iterative_bound(spec) <= exact + 1e-8
 
 
@@ -221,9 +220,9 @@ def test_iterative_bound_sound_property(g, data, sigma, factor):
     # for kappa > sigma lambda_min>0(L), over generated graphs and pin sets
     assume(g.num_edges > 0)
     pinned = data.draw(st.lists(st.integers(0, g.num_nodes - 1), unique=True, max_size=4))
-    kappa = factor * sigma * lambda_min_gt0(laplacian(g))
+    kappa = factor * sigma * pinned_lambda_min_gt0(g, 1.0, 0.0, ())
     spec = scalar_spec(g, sigma, kappa, pinned, 0.0)
-    exact = lambda_min_gt0(pinned_operator(g, sigma, kappa, pinned))
+    exact = pinned_lambda_min_gt0(g, sigma, kappa, pinned)
     assert iterative_bound(spec) <= exact + 1e-8 * (1.0 + abs(exact))
 
 
@@ -413,19 +412,46 @@ def test_unpinned_component_is_never_certified(graph, pinned, kappa, f_bound, co
         kappa_threshold(spec)
 
 
+# The ER(80) case: sigma 1, pins (0, 3, 7), Q = B = 1, K = kappa, rhs 0.2.
+# lambda_min(sigma L + kappa P) rises with kappa toward the grounded limit
+# lambda_min(L_UU) = 0.2308181463, at 0.23081814618313 for kappa 1e10 (40
+# digits of mpmath); eigvalsh reads it to about eps kappa.
+ER80_LIMIT_AT_1E10 = 0.23081814618313
+
+
+@pytest.mark.parametrize("kappa", [1e6, 1e8, 1e9, 1e10, 1e12, 1e14])
+def test_large_gain_keeps_the_exact_verdict(kappa):
+    # every component is pinned and kappa > 0, so the operator is positive
+    # definite by structure, however small lambda_min is next to kappa
+    rep = evaluate(scalar_spec(erdos_renyi(80, 0.1, seed=0), 1.0, kappa, (0, 3, 7), 0.2))
+    assert rep.rhs_threshold == pytest.approx(0.2, rel=1e-15)
+    assert rep.exact_lambda == rep.exact_lambda_min
+    assert "singular_operator" not in rep.reasons
+    assert rep.verdict_exact
+    if kappa == 1e10:
+        assert abs(rep.exact_lambda / ER80_LIMIT_AT_1E10 - 1.0) <= 1e-5
+
+
 @pytest.mark.parametrize("kappa", [0.0, 1e-12])
 def test_singular_operator_is_never_certified(kappa):
-    # every component pinned, but a gain within the rank tolerance leaves
-    # sigma L + kappa P singular; lambda_min>0 skips its smallest eigenvalue
+    # Every component pinned. At kappa = 0, sigma L + kappa P is singular by
+    # structure: lambda_min>0 skips its zero, and singular_operator says so.
+    # At kappa 1e-12 it is positive definite, but lambda_min = kappa / 5 (to
+    # the solve's error, a few ulps of lambda_max = 5) is far below rhs.
     spec = kn_spec(5, 1.0, kappa, (0,), 0.5)
     rep = evaluate(spec)
-    assert rep.exact_lambda == pytest.approx(5.0)
-    assert rep.exact_lambda >= rep.rhs_threshold
+    if kappa == 0.0:
+        assert rep.exact_lambda == pytest.approx(5.0)
+        assert rep.exact_lambda >= rep.rhs_threshold
+        assert rep.reasons["singular_operator"].startswith("lambda_min(sigma L + kappa P) = 0")
+    else:
+        assert rep.exact_lambda == rep.exact_lambda_min
+        assert abs(rep.exact_lambda - kappa / 5) <= 64 * np.finfo(float).eps * 5.0
+        assert "singular_operator" not in rep.reasons
     assert abs(rep.exact_lambda_min) <= 1e-9
     assert not rep.verdict_exact
     assert not rep.verdict_theorem
     assert "unpinned_component" not in rep.reasons
-    assert rep.reasons["singular_operator"].startswith("lambda_min(sigma L + kappa P) = ")
     # and the error indeed grows: f = 0.3 x + 0.2 tanh x has f_bound 0.5
     x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(5, 1))
     config = SimConfig(spec, ScalarSaturatedDynamics(0.3, 0.2), x0, np.zeros(1), 0.0, 5.0, 0.01)
@@ -496,13 +522,13 @@ def test_monotonicity_exact_lambda():
         pinned = sorted(rng.choice(n, size=3, replace=False).tolist())
         # nondecreasing in kappa
         vals = [
-            lambda_min_gt0(pinned_operator(g, 1.0, k, pinned))
+            pinned_lambda_min_gt0(g, 1.0, k, pinned)
             for k in np.linspace(0.5 * s, 10 * s, 6)
         ]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
         # nondecreasing under pinned-set inclusion
         grown = [
-            lambda_min_gt0(pinned_operator(g, 1.0, 4.0 * s, pinned[:k]))
+            pinned_lambda_min_gt0(g, 1.0, 4.0 * s, pinned[:k])
             for k in range(1, 4)
         ]
         assert all(b >= a - 1e-10 for a, b in zip(grown, grown[1:]))

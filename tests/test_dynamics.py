@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import functools
 import math
 import os
 import signal
@@ -33,7 +34,7 @@ from pinnet import (
 from pinnet import dynamics
 from pinnet.dynamics import MAX_WORKERS, MIN_ROWS_PER_WORKER, OVERFLOW_GUARD, _derivative
 
-from helpers import scalar_spec
+from helpers import node_f, scalar_spec
 
 
 def single_node_spec(kappa):
@@ -78,8 +79,8 @@ def test_rhs_zero_error_consensus():
     states = np.tile(s, (3, 1))
     config = SimConfig(spec, dyn, states, s, 0.0, 1.0, 0.01)
     dx, ds = derivative_at(config, states, s)
-    assert np.allclose(ds, dyn.f(s), atol=0)
-    assert np.abs(dx - dyn.f(s)).max() <= 1e-12
+    assert np.allclose(ds, node_f(dyn, s), atol=0)
+    assert np.abs(dx - node_f(dyn, s)).max() <= 1e-12
 
 
 def test_rhs_isolated_feedback():
@@ -345,7 +346,7 @@ def reference_simulate(config):
     pin = np.zeros((spec.graph.num_nodes, 1))
     for i in spec.pinned:
         pin[i, 0] = 1.0
-    f = config.dynamics.f
+    f = functools.partial(node_f, config.dynamics)
 
     def deriv(states, s):
         dx = f(states) - (sigma_l @ states) @ bt + pin * ((s - states) @ kt)
@@ -518,7 +519,7 @@ OPERATOR_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
 def test_operator_matches_per_block_formula(name):
     config = OPERATOR_CONFIGS[name]()
-    spec, f = config.system, config.dynamics.f
+    spec, f = config.system, functools.partial(node_f, config.dynamics)
     rng = np.random.default_rng(len(name))
     x, s = rng.uniform(-2, 2, config.x0.shape), rng.uniform(-2, 2, config.s0.shape)
     sigma_l = spec.sigma * laplacian(spec.graph).array

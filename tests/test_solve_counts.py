@@ -5,9 +5,7 @@ eigenvector is values-only (np.linalg.eigvalsh): one evaluate() solves the
 Laplacian and the pinned operator once each, plus four n x n solves (two
 norms and lambda_min(QB + B^T Q^T) for the structural check, ||Q|| for the
 threshold). Greedy selection reads eigenvectors (np.linalg.eigh): it solves
-the empty set once, then per round only the candidates its secular screen
-cannot rule out, those near the best score, or only the pick of a round in
-which every candidate is singular.
+the empty set once, then per round only its pick, budget + 1 solves in all.
 
 Each Graph builds its Laplacian once, at the first laplacian(g), and every
 operator of every command is derived from that one matrix: one build per
@@ -22,8 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from pinnet import (complete_graph, disjoint_union, erdos_renyi, evaluate, graphs, greedy_select,
-                    laplacian, parse_edge_list, path_graph, pinned_operator, to_edge_list)
+from pinnet import (complete_graph, disjoint_union, erdos_renyi, evaluate, evaluate_pinning, graphs,
+                    greedy_select, laplacian, parse_edge_list, path_graph, pinned_operator,
+                    to_edge_list)
 from pinnet.cli import main
 
 from helpers import scalar_spec
@@ -84,19 +83,21 @@ def test_greedy_solves_the_winner_once_per_round(solves):
     assert solves == {("eigh", 120): 4}
 
 
-def test_greedy_solves_every_tied_candidate(solves):
-    # every node of K8 ties, so each round solves all of them: 1 + 8 + 7 + 6
-    greedy_select(complete_graph(8), 1.0, 5.0, 3)
-    assert solves == {("eigh", 8): 22}
+def test_greedy_solves_only_the_pick_among_tied_candidates(solves):
+    # every node of K8 ties, and only the smallest is solved: 1 + 1 + 1 + 1,
+    # down from 1 + 8 + 7 + 6 = 22 when every tied candidate was solved
+    result = greedy_select(complete_graph(8), 1.0, 5.0, 3)
+    assert result.pinned == (0, 1, 2)
+    assert solves == {("eigh", 8): 4}
 
 
 def test_greedy_solves_singular_candidates_not_their_whole_round(solves):
     # K5 + P6: in round 1 every candidate leaves a component unpinned, so only
-    # the pick, K5's node 0, is solved. Round 2 solves P6's tied middle pair,
-    # not the 4 singular K5 candidates: 1 + 1 + 2
+    # the pick, K5's node 0, is solved. Round 2 scores only P6's nodes and
+    # solves the smaller of its tied middle pair: 1 + 1 + 1
     result = greedy_select(disjoint_union(complete_graph(5), path_graph(6)), 1.0, 5.0, 2)
     assert result.pinned == (0, 7)
-    assert solves == {("eigh", 11): 4}
+    assert solves == {("eigh", 11): 3}
 
 
 def test_greedy_screen_is_scale_free(solves):
@@ -114,11 +115,24 @@ def test_greedy_solves_one_candidate_per_round_while_components_lack_pins(solves
     assert solves == {("eigh", 150): 7}
 
 
-def test_greedy_solves_one_candidate_per_round_below_the_rank_tolerance(solves):
-    # connected, but kappa 1e-12 leaves every candidate within the rank
-    # tolerance: 1 + 3 solves where solving every candidate would take 748
-    result = greedy_select(erdos_renyi(250, 10 / 249, seed=3), 1.0, 1e-12, 3)
-    assert (result.pinned, result.objective) == ((0, 1, 2), 0.0)
+def test_greedy_solves_one_candidate_per_round_at_a_tiny_gain(solves):
+    # connected, and kappa 1e-12 puts every candidate within the tie band of
+    # the best: 1 + 3 solves where solving every candidate would take 748. The
+    # operator is positive definite, so the objective is its dense value (about
+    # 1e-14, near eigh's error of eps lambda_max, so its sign is not asserted).
+    g = erdos_renyi(250, 10 / 249, seed=3)
+    result = greedy_select(g, 1.0, 1e-12, 3)
+    assert result.pinned == (0, 1, 2)
+    assert solves == {("eigh", 250): 4}
+    assert result.objective == evaluate_pinning(g, 1.0, 1e-12, (0, 1, 2))
+
+
+@pytest.mark.parametrize("kappa", [1e-5, 1e-3])
+def test_greedy_solves_only_its_picks_where_scores_crowd(solves, kappa):
+    # at kappa 1e-5 all 250 first-round scores lie within 20 ulps of lambda_max
+    # + kappa, a tie; at 1e-3 they spread over 2e5 ulps. Either way 1 + 3
+    # solves, where a screen window of 1e-8 (lambda_max + kappa) solved 748.
+    greedy_select(erdos_renyi(250, 10 / 249, seed=3), 1.0, kappa, 3)
     assert solves == {("eigh", 250): 4}
 
 

@@ -24,7 +24,9 @@ from pinnet import (
     pinned_operator,
     spectral_norm,
 )
-from pinnet.spectral import default_rank_tol
+from pinnet.bounds import _numerical_rank
+from pinnet.criteria import _zero_modes
+from pinnet.graphs import component_roots
 
 from helpers import break_eigh, break_eigvalsh, no_convergence, scalar_spec
 
@@ -153,7 +155,7 @@ def test_eig_values_match_the_vector_solve():
         assert np.abs(w - full).max() <= 1e-12 * (1.0 + np.abs(full).max())
 
 
-@pytest.mark.parametrize("solve", [eig_values, lambda_min_gt0, lambda_min, lambda_max])
+@pytest.mark.parametrize("solve", [eig_values, lambda_min, lambda_max])
 def test_values_only_guard_catches_a_shifted_eigenvalue(monkeypatch, solve):
     op = pinned_operator(path_graph(5), 1.0, 2.0, (0,))
     break_eigvalsh(monkeypatch)
@@ -198,42 +200,48 @@ def test_solver_failure_is_a_numerical_error(monkeypatch):
 
 def test_lambda_min_gt0_complete_graph():
     for n in [4, 7]:
-        assert lambda_min_gt0(laplacian(complete_graph(n))) == pytest.approx(n, rel=1e-12)
+        assert lambda_min_gt0(eig_values(laplacian(complete_graph(n))), 1) == pytest.approx(n, rel=1e-12)
 
 
 def test_lambda_min_gt0_path3():
-    assert lambda_min_gt0(laplacian(path_graph(3))) == pytest.approx(1.0, rel=1e-12)
+    assert lambda_min_gt0(eig_values(laplacian(path_graph(3))), 1) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lambda_min_gt0_zero_matrix():
     # an undefined lambda_min>0 is a precondition outcome, not a solver failure
     with pytest.raises(NoNonzeroEigenvalueError) as exc:
-        lambda_min_gt0(SymMatrix(np.zeros((3, 3))))
+        lambda_min_gt0(eig_values(SymMatrix(np.zeros((3, 3)))), 3)
     assert isinstance(exc.value, PreconditionError)
     assert not isinstance(exc.value, NumericalError)
 
 
 @pytest.mark.parametrize("c", [2.0**-100, 1.0, 2.0**100])
 def test_rank_tolerance_scales_with_the_matrix(c):
-    assert default_rank_tol(c * 3.0) == c * default_rank_tol(3.0)
+    # the arrow bounds' rank rule, pinnet's one zero decided by tolerance
     w = c * np.array([4.0, 1.0, 1e-12, 0.0])
-    assert lambda_min_gt0(SymMatrix(np.diag(w))) == c
+    assert w[_numerical_rank(w) - 1] == c
     with pytest.raises(NotPSDError):
-        lambda_min_gt0(SymMatrix(np.diag(c * np.array([1.0, -1e-8]))))
+        _numerical_rank(c * np.array([1.0, -1e-8]))
 
 
 def test_lambda_min_gt0_not_psd():
-    with pytest.raises(NotPSDError):
-        lambda_min_gt0(SymMatrix(np.diag([1.0, -1.0])))
+    # no tolerance: past the zeros the structure counts, the eigenvalue is
+    # returned as read, whatever its sign
+    assert lambda_min_gt0(np.array([1.0, -1.0]), 0) == -1.0
+    assert lambda_min_gt0(np.array([1.0, -1e-300, 0.0]), 1) == -1e-300
 
 
 def test_disconnected_zero_eigenvalue_count():
+    # one zero per component, at kappa = 0 and wherever a component has no pin
     g = disjoint_union(path_graph(3), path_graph(2))
     g = disjoint_union(g, complete_graph(4))
+    roots = component_roots(g)
+    assert _zero_modes(roots, 0.0, ()) == _zero_modes(roots, 0.0, (0, 3, 5)) == 3
+    assert _zero_modes(roots, 2.0, (0, 1)) == 2
+    assert _zero_modes(roots, 2.0, (0, 3, 5)) == 0
     w = eig_sym(laplacian(g)).eigenvalues
-    tol = default_rank_tol(w[0])
-    assert (w <= tol).sum() == 3
-    assert lambda_min_gt0(laplacian(g)) > 0
+    assert np.abs(w[-3:]).max() <= 1e-12 * w[0]
+    assert lambda_min_gt0(w, 3) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lambda_min_max():
