@@ -32,7 +32,13 @@ from pinnet import (
     write_trajectory_csv,
 )
 from pinnet import dynamics
-from pinnet.dynamics import MAX_WORKERS, MIN_ROWS_PER_WORKER, OVERFLOW_GUARD, _derivative
+from pinnet.dynamics import (
+    AUGMENTED_MAX_ROWS,
+    MAX_WORKERS,
+    MIN_ROWS_PER_WORKER,
+    OVERFLOW_GUARD,
+    _derivative,
+)
 
 from helpers import node_f, scalar_spec
 
@@ -444,12 +450,19 @@ def scalar1_config(kappa, a, n_nodes=12):
                      np.array([0.3]), 0.0, 2.0, 1e-2)
 
 
+# saturated n = 1 on either side of the cutoff: [G | b I] [z; tanh z] at and below it,
+# G z + b tanh z above it
+CUTOFF_CONFIGS = {
+    f"n1-decaying-{rows}-rows": (lambda rows=rows: scalar1_config(40.0, 0.2, n_nodes=rows - 1))
+    for rows in (AUGMENTED_MAX_ROWS, AUGMENTED_MAX_ROWS + 1)
+}
 EQUALITY_CONFIGS = {
     "n1-decaying": lambda: scalar1_config(40.0, 0.2),
     "n1-growing": lambda: scalar1_config(0.0, 1.5),
     "n1-linear": lambda: path3_linear_config(1e-2),
     "n3-linear": lambda: linear3_config(3, 0.3, 3.0),
     "n3-linear-growing": lambda: linear3_config(5, 1.0, 3.0),
+    **CUTOFF_CONFIGS,
 }
 DIVERGING_CONFIGS = {
     "n1-diverging": lambda: scalar1_config(0.0, 20.0),
@@ -494,10 +507,10 @@ def test_stacked_rk4_matches_two_array_reference(name):
     assert np.array_equal(traj.lyapunov, np.einsum("tia,ab,tib->t", errors, q, errors))
 
 
-def scalar_operator_config(seed, linear):
+def scalar_operator_config(seed, linear, n_nodes=None):
     """n = 1 with scalar B and K away from 1 and two pins on a random graph."""
     rng = np.random.default_rng(seed)
-    n_nodes = int(rng.integers(4, 25))
+    n_nodes = int(rng.integers(4, 25)) if n_nodes is None else n_nodes
     spec = PinnedSystemSpec(
         graph=erdos_renyi(n_nodes, 0.4, seed=seed), sigma=0.7, kappa=5.0,
         b_matrix=[[1.3]], k_matrix=[[5.2]], q_matrix=SymMatrix([[1.0]]),
@@ -513,6 +526,7 @@ OPERATOR_CONFIGS = {
     **{f"n1-{kind}-{seed}": (lambda seed=seed, kind=kind: scalar_operator_config(seed, kind == "linear"))
        for kind in ("linear", "saturated") for seed in range(4)},
     **{f"n3-linear-{seed}": (lambda seed=seed: linear3_config(seed, 1.0, 1.0)) for seed in range(4)},
+    "n1-saturated-above-cutoff": lambda: scalar_operator_config(0, False, AUGMENTED_MAX_ROWS),
 }
 
 
@@ -530,6 +544,17 @@ def test_operator_matches_per_block_formula(name):
     scale = max(np.abs(np.vstack(terms)).max(), np.abs(x).max(), np.abs(s).max())
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 8 * EPS * scale
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
+def test_doubled_derivative_is_exactly_twice_the_derivative(name):
+    # simulate evaluates RK4 stages 2 and 3 as _derivative(config, 2.0) in place of 2 k
+    config = OPERATOR_CONFIGS[name]()
+    z = np.random.default_rng(len(name)).uniform(-2, 2, (len(config.x0) + 1, len(config.s0)))
+    once, twice = np.empty_like(z), np.empty_like(z)
+    _derivative(config)(z, once)
+    _derivative(config, 2.0)(z, twice)
+    assert np.array_equal(twice, 2 * once)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
@@ -809,9 +834,10 @@ def state_scaled(config, c):
 BIT_CONFIGS = {
     **ALL_CONFIGS,
     **{f"{name}-rates-2^{e}": (lambda name=name, e=e: rate_scaled(ALL_CONFIGS[name](), 2.0**e))
-       for name in ("n1-decaying", "n1-linear", "n3-linear", "n3-diverging") for e in (-100, 100)},
+       for name in ("n1-decaying", "n1-linear", "n3-linear", "n3-diverging", *CUTOFF_CONFIGS)
+       for e in (-100, 100)},
     **{f"{name}-states-2^-100": (lambda name=name: state_scaled(ALL_CONFIGS[name](), 2.0**-100))
-       for name in ("n1-decaying", "n1-linear", "n3-linear")},
+       for name in ("n1-decaying", "n1-linear", "n3-linear", *CUTOFF_CONFIGS)},
 }
 
 
