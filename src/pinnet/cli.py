@@ -22,7 +22,7 @@ from . import criteria, dynamics, selection
 from .bounds import BoundKind, arrow_lower
 from .criteria import pinned_lambda_min_gt0
 from .errors import DegenerateGapError, PinnetError, PreconditionError, ValidationError
-from .graphs import Graph, _int_text, component_roots, degrees, laplacian, parse_edge_list
+from .graphs import Graph, _int_text, degrees, is_connected, laplacian, parse_edge_list
 from .spectral import SymMatrix, eig_values, lambda_min_gt0  # noqa: F401  (benchmark rebinds it)
 
 EXIT_OK = 0
@@ -135,10 +135,10 @@ def load_analysis_config(path: str):
     cfg_path = Path(path)
     try:
         cfg = json.loads(cfg_path.read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # the ValueError of text that is not UTF-8
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError(f"config {path} must be a JSON object")
 
@@ -201,26 +201,25 @@ def _sim_config_from(cfg: dict, spec, dyn) -> dynamics.SimConfig:
 
 
 def _pinned_spectra(args):
-    """The graph, its pins and component labels, and the eigenvalues of sigma L + kappa P and L."""
+    """The graph, its pins, and the eigenvalues of sigma L + kappa P and L."""
     g = _load_graph(args.graph)
     pinned = _parse_pinned(args.pinned)
     op = criteria.pinned_operator(g, args.sigma, args.kappa, pinned)
-    return g, pinned, component_roots(g), eig_values(op), eig_values(laplacian(g))
+    return g, pinned, eig_values(op), eig_values(laplacian(g))
 
 
 def cmd_spectrum(args) -> int:
-    g, pinned, roots, op_w, lap_w = _pinned_spectra(args)
+    g, pinned, op_w, lap_w = _pinned_spectra(args)
     payload = {
         "num_nodes": g.num_nodes,
         "num_edges": g.num_edges,
-        "connected": not roots.any(),
-        "lambda_min_gt0_laplacian": pinned_lambda_min_gt0(g, 1.0, 0.0, (), roots, lap_w),
+        "connected": is_connected(g),
+        "lambda_min_gt0_laplacian": pinned_lambda_min_gt0(g, 1.0, 0.0, (), lap_w),
         "lambda_max_laplacian": float(lap_w[0]),
         "sigma": args.sigma,
         "kappa": args.kappa,
         "pinned": list(pinned),
-        "lambda_min_gt0_pinned": pinned_lambda_min_gt0(g, args.sigma, args.kappa, pinned, roots,
-                                                       op_w),
+        "lambda_min_gt0_pinned": pinned_lambda_min_gt0(g, args.sigma, args.kappa, pinned, op_w),
     }
     lines = [
         f"nodes: {g.num_nodes}  edges: {g.num_edges}  connected: {payload['connected']}",
@@ -241,7 +240,7 @@ _STEP_BOUNDS = {"lili": BoundKind.SMALLEST_NONZERO_LOWER, "weyl": BoundKind.WEYL
                 "mathias": BoundKind.MATHIAS_LOWER}
 
 
-def _step_rows(g, roots, sigma, kappa, pinned, s, exact):
+def _step_rows(g, sigma, kappa, pinned, s, exact):
     """Per pin append: the arrow lower bounds and the exact lambda_min>0 after it.
 
     s and exact are lambda_min>0 before the first and after the last append.
@@ -250,7 +249,7 @@ def _step_rows(g, roots, sigma, kappa, pinned, s, exact):
     units of 2^(2e), so they neither underflow nor overflow at extreme scales.
     """
     deg = degrees(g)
-    mus = [pinned_lambda_min_gt0(g, sigma, kappa, pinned[:k], roots)
+    mus = [pinned_lambda_min_gt0(g, sigma, kappa, pinned[:k])
            for k in range(1, len(pinned))] + [exact]
     _, e = math.frexp(s)
     sigma_u, kappa_u = math.ldexp(sigma, -e), math.ldexp(kappa, -e)
@@ -269,10 +268,10 @@ def _step_rows(g, roots, sigma, kappa, pinned, s, exact):
 
 
 def cmd_bounds(args) -> int:
-    g, pinned, roots, op_w, lap_w = _pinned_spectra(args)
+    g, pinned, op_w, lap_w = _pinned_spectra(args)
     sigma, kappa = args.sigma, args.kappa
-    exact = pinned_lambda_min_gt0(g, sigma, kappa, pinned, roots, op_w)
-    s = sigma * pinned_lambda_min_gt0(g, 1.0, 0.0, (), roots, lap_w)
+    exact = pinned_lambda_min_gt0(g, sigma, kappa, pinned, op_w)
+    s = sigma * pinned_lambda_min_gt0(g, 1.0, 0.0, (), lap_w)
     deg = degrees(g)
     payload = {
         "sigma": sigma,
@@ -299,7 +298,7 @@ def cmd_bounds(args) -> int:
         lines.append(
             f"iterative bound = {_fmt(bound)}   slack = {_fmt(exact - bound)}"
         )
-    rows = _step_rows(g, roots, sigma, kappa, pinned, s, exact)
+    rows = _step_rows(g, sigma, kappa, pinned, s, exact)
     payload["steps"] = rows
     if rows:
         lines.append("per-step bounds (from the column-append sequence):")

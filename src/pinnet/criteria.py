@@ -38,7 +38,8 @@ that fails.
 The graph fixes which eigenvalues are zero, no tolerance does: x^T (sigma L
 + kappa P) x = sigma sum_edges (x_i - x_j)^2 + kappa sum_pinned x_i^2, so one
 eigenvalue is zero per component without a pin (per component at kappa = 0),
-and pinned_lambda_min_gt0 reads lambda_min>0 as the next one up.
+and pinned_lambda_min_gt0 reads lambda_min>0 as the next one up, from the
+values-only solve: evaluate, the CLI and selection all report its bits.
 Every verdict needs a pin in each component: one without keeps its zero
 mode, so its error never decays however large the exact value reads; both
 verdicts are then False, reasons["unpinned_component"] names it, and
@@ -61,7 +62,7 @@ import numpy as np
 
 from .bounds import lili_term
 from .errors import PinnetError, PreconditionError, ThresholdUndefinedError, ValidationError
-from .graphs import Graph, _index, component_roots, degrees, laplacian
+from .graphs import Graph, _index, component_roots, degrees, is_connected, laplacian
 from .spectral import SymMatrix, as_sym_matrix, eig_values, lambda_min_gt0, spectral_norm
 
 EXACT_MARGIN = 1e-12
@@ -145,7 +146,7 @@ class PinnedSystemSpec:
     @cached_property
     def _sigma_lambda(self) -> float:
         w = eig_values(laplacian(self.graph))
-        return self.sigma * pinned_lambda_min_gt0(self.graph, 1.0, 0.0, (), self._roots, w)
+        return self.sigma * pinned_lambda_min_gt0(self.graph, 1.0, 0.0, (), w)
 
     @cached_property
     def _qb_spectrum(self) -> tuple[float, float]:
@@ -159,17 +160,13 @@ class PinnedSystemSpec:
         return spectral_norm(self.q_matrix.array)
 
     @cached_property
-    def _roots(self) -> np.ndarray:
-        return component_roots(self.graph)
-
-    @cached_property
     def _unpinned_reason(self) -> str | None:
         """Names the first component without a pin, or None if every one has one."""
-        unpinned = _unpinned_roots(self._roots, self.pinned)
+        unpinned = _unpinned_roots(component_roots(self.graph), self.pinned)
         if not len(unpinned):
             return None
         more = f" ({len(unpinned)} components have none)" if len(unpinned) > 1 else ""
-        nodes = np.flatnonzero(self._roots == unpinned[0]).tolist()
+        nodes = np.flatnonzero(component_roots(self.graph) == unpinned[0]).tolist()
         return f"component {_node_ranges(nodes)} has no pinned node{more}"
 
 
@@ -180,21 +177,19 @@ def _unpinned_roots(roots: np.ndarray, pinned) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def _zero_modes(roots: np.ndarray, kappa: float, pinned) -> int:
+def _zero_modes(g: Graph, kappa: float, pinned) -> int:
     """Zero eigenvalues of sigma L + kappa P, per the module docstring."""
-    return len(_unpinned_roots(roots, pinned if kappa > 0 else ()))
+    return len(_unpinned_roots(component_roots(g), pinned if kappa > 0 else ()))
 
 
-def pinned_lambda_min_gt0(g: Graph, sigma, kappa, pinned, roots=None, w=None) -> float:
+def pinned_lambda_min_gt0(g: Graph, sigma, kappa, pinned, w=None) -> float:
     """lambda_min>0(sigma L + kappa P), past the zeros g's structure fixes,
-    with no tolerance (sigma 1, kappa 0, no pins: L). roots are g's component
-    labels and w the operator's eigenvalues sorted descending, each computed
-    here when None. Raises NoNonzeroEigenvalueError if every one is a zero."""
-    if roots is None:
-        roots = component_roots(g)
+    with no tolerance (sigma 1, kappa 0, no pins: L); evaluate, the CLI and
+    selection all read it here. w is the operator's eig_values, solved here
+    when None. Raises NoNonzeroEigenvalueError if every one is a zero."""
     if w is None:
         w = eig_values(pinned_operator(g, sigma, kappa, pinned))
-    return lambda_min_gt0(w, _zero_modes(roots, kappa, pinned))
+    return lambda_min_gt0(w, _zero_modes(g, kappa, pinned))
 
 
 def _node_ranges(nodes: list[int]) -> str:
@@ -384,7 +379,7 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     reasons: dict[str, str] = {}
     flags: list[str] = []
 
-    connected = not spec._roots.any()
+    connected = is_connected(spec.graph)
     if not connected:
         flags.append("disconnected")
     unpinned = spec._unpinned_reason
@@ -403,8 +398,7 @@ def evaluate(spec: PinnedSystemSpec) -> CriterionReport:
     def exact_pair():
         rhs_threshold(spec)  # a degenerate QB is the exact step's reason too
         w = eig_values(pinned_operator(spec.graph, spec.sigma, spec.kappa, spec.pinned))
-        exact = pinned_lambda_min_gt0(spec.graph, spec.sigma, spec.kappa, spec.pinned,
-                                      spec._roots, w)
+        exact = pinned_lambda_min_gt0(spec.graph, spec.sigma, spec.kappa, spec.pinned, w)
         return exact, float(w[-1])
 
     s = attempt("sigma_lambda", lambda: sigma_lambda_min_gt0(spec))

@@ -2,12 +2,12 @@
 
 A Graph is immutable after construction. It holds its validated edges twice,
 as the public tuple of pairs and as one read-only (E, 2) int64 array that
-every operation reads. laplacian(g) is built at the first call on g and
-memoised on it as a read-only SymMatrix; every other operation is a pure
-function. Two threads that ask for the same Laplacian at once may both build
-it, and either equal result is kept, so sharing a Graph across threads is
-safe. Nothing is cached by content: two Graphs with equal edges build two
-Laplacians.
+every operation reads. laplacian(g) and component_roots(g) are computed at
+the first call on g and memoised on it, read-only; every other operation is
+a pure function. Two threads that ask for the same memo at once may both
+compute it, and either equal result is kept, so sharing a Graph across
+threads is safe. Nothing is cached by content: two Graphs with equal edges
+build two Laplacians.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = field(default=())
     _edge_array: np.ndarray = field(init=False, repr=False, compare=False)
     _laplacian: SymMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    _roots: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num_nodes = _index(self.num_nodes, "num_nodes")
@@ -180,11 +181,9 @@ def laplacian(g: Graph) -> SymMatrix:
 
     Built at the first call on g; every later call returns the same
     read-only SymMatrix."""
-    lap = g._laplacian
-    if lap is None:
-        lap = _assemble_laplacian(g)
-        object.__setattr__(g, "_laplacian", lap)
-    return lap
+    if g._laplacian is None:
+        object.__setattr__(g, "_laplacian", _assemble_laplacian(g))
+    return g._laplacian
 
 
 def _assemble_laplacian(g: Graph) -> SymMatrix:
@@ -214,16 +213,24 @@ def degrees(g: Graph) -> np.ndarray:
 
 
 def component_roots(g: Graph) -> np.ndarray:
-    """Component labels, each node's component's smallest node, by hooking and
-    pointer jumping: every round hangs the larger root of each edge that
-    joins two trees under the smaller one, then points every node at its
-    root. A root only ever moves to a smaller node, so the rounds end."""
+    """Component labels, each node's component's smallest node. Computed at
+    the first call on g; every later call returns the same read-only array."""
+    if g._roots is None:
+        object.__setattr__(g, "_roots", _label_components(g))
+    return g._roots
+
+
+def _label_components(g: Graph) -> np.ndarray:
+    """component_roots by hooking and pointer jumping: each round hangs the larger
+    root of each edge joining two trees under the smaller, then points every node
+    at its root. Roots only move to smaller nodes, so the rounds end."""
     u, v = g._edge_array.T
     root = np.arange(g.num_nodes)
     while True:
         ru, rv = root[u], root[v]
         split = ru != rv
         if not split.any():
+            root.setflags(write=False)
             return root
         np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
         jumped = root[root]

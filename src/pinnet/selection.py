@@ -1,13 +1,13 @@
 """Pinned-node selection: maximize lambda_min(sigma L + kappa P) under a budget.
 
-The objective is 0.0 where the structure makes the operator singular
-(criteria._zero_modes), else a dense eigensolve's smallest eigenvalue; the
-closed-form certificate is a reporting companion, not the search metric.
-Objectives within TIE_RTOL (lambda_max + kappa) of the best are tied: twice
-the largest gap the tests measure between the secular screen and a dense
-solve. Greedy scores its candidates by the rank-one secular equation
-(pinning one more node adds kappa e_i e_i^T) and solves densely only its
-pick. Exhaustive enumeration is the ground-truth oracle, greedy and degree
+The objective is 0.0, unsolved, where the structure makes the operator
+singular (criteria._zero_modes), else criteria.pinned_lambda_min_gt0, the
+bits evaluate and pinnet spectrum report for the same pins. Objectives
+within TIE_RTOL (lambda_max + kappa) of the best are tied: twice the largest
+gap the tests measure between the secular screen and a dense solve. Greedy
+scores its candidates by the rank-one secular equation (pinning one more
+node adds kappa e_i e_i^T) on its base's eigenvectors, the one vector solve
+here. Exhaustive enumeration is the ground-truth oracle, greedy and degree
 ranking are the cheap heuristics.
 """
 
@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _check_pins, _unpinned_roots, _zero_modes, pinned_operator
+from .criteria import (_check_gains, _check_pins, _unpinned_roots, _zero_modes,
+                       pinned_lambda_min_gt0, pinned_operator)
 from .errors import CombinatorialGuardError, ValidationError
 from .graphs import Graph, _index, component_roots, degrees
-from .spectral import Spectrum, eig_sym, lambda_min_gt0
+from .spectral import Spectrum, eig_sym, eig_values
+from .spectral import lambda_min_gt0  # noqa: F401  (benchmark rebinds it)
 
 EXHAUSTIVE_GUARD = 10**6
 TIE_RTOL = 64 * np.finfo(float).eps
@@ -34,9 +36,9 @@ EXHAUSTIVE = "exhaustive"
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """A chosen pin set, its exact objective, and how many candidate sets
-    were scored: N - k per greedy round, 1 for degree, C(N, budget) for
-    exhaustive. Greedy's initial solve of the empty set is not counted."""
+    """A chosen pin set, its exact objective (evaluate_pinning of the set),
+    and how many candidate sets were scored: N - k per greedy round, 1 for
+    degree, C(N, budget) for exhaustive."""
 
     pinned: tuple[int, ...]
     objective: float
@@ -45,16 +47,13 @@ class SelectionResult:
 
 
 def evaluate_pinning(g: Graph, sigma: float, kappa: float, pinned) -> float:
-    """Exact lambda_min(sigma L + kappa P), from the same vector solve as greedy."""
+    """Exact lambda_min(sigma L + kappa P): 0.0 with no solve where the
+    structure makes the operator singular, else pinned_lambda_min_gt0."""
     pinned = _check_pins(pinned, g.num_nodes)  # before the labels read them
-    return _solve(g, sigma, kappa, pinned, _zero_modes(component_roots(g), kappa, pinned) > 0)[0]
-
-
-def _solve(g: Graph, sigma: float, kappa: float, pinned, zero: bool):
-    """The objective of a pin set, 0.0 where zero says the structure makes the
-    operator singular, and the spectrum it was read from."""
-    spectrum = eig_sym(pinned_operator(g, sigma, kappa, pinned))
-    return (0.0 if zero else lambda_min_gt0(spectrum.eigenvalues, 0)), spectrum
+    _check_gains(sigma, kappa)
+    if _zero_modes(g, kappa, pinned):
+        return 0.0
+    return pinned_lambda_min_gt0(g, sigma, kappa, pinned)
 
 
 def _check_budget(g: Graph, budget: int) -> int:
@@ -118,31 +117,30 @@ def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
     candidates are the nodes of the one component without a pin, or all
     nodes left, scored by _secular_scores on the current operator, and the
     pick is the smallest whose score is within TIE_RTOL (lambda_max + kappa)
-    of the best, lambda_max the current operator's. Only the pick is solved
-    densely, as the next round's base: budget + 1 dense solves. The picks are
-    the same rule's on dense solves of every candidate, unless one lies
-    within the screen's error (a few ulps of lambda_max + kappa) of the
-    band's edge. Deterministic."""
-    budget = _check_budget(g, budget)
-    roots = component_roots(g)
-    unpinned = _unpinned_roots(roots, ()).tolist()  # the components without a pin
-    objective, base = _solve(g, sigma, kappa, (), True)
+    of the best, lambda_max the current operator's. Only a round that screens
+    solves, for the eigenvectors of its base, and the objective is
+    evaluate_pinning of the picks. The picks are the same rule's on dense
+    solves of every candidate, unless one lies within the screen's error (a
+    few ulps of lambda_max + kappa) of the band's edge. Deterministic."""
+    budget = _check_budget(g, budget)  # evaluate_pinning checks the gains
     chosen: list[int] = []
     evaluations = 0
     for _ in range(budget):
         cands = [i for i in range(g.num_nodes) if i not in chosen]
         evaluations += len(cands)
+        unpinned = _unpinned_roots(component_roots(g), chosen)
         if kappa == 0 or len(unpinned) >= 2:
-            pick = unpinned[0] if unpinned else cands[0]
+            pick = int(unpinned[0]) if len(unpinned) else cands[0]
         else:
-            cands = np.flatnonzero(roots == unpinned[0]).tolist() if unpinned else cands
+            if len(unpinned):  # the one component without a pin
+                cands = np.flatnonzero(component_roots(g) == unpinned[0]).tolist()
+            base = eig_sym(pinned_operator(g, sigma, kappa, chosen))
             scores = _secular_scores(base, kappa, cands)
             band = TIE_RTOL * (base.eigenvalues[0] + kappa)
             pick = cands[int(np.argmax(scores >= scores.max() - band))]
         chosen.append(pick)
-        unpinned = [r for r in unpinned if r != roots[pick]]
-        objective, base = _solve(g, sigma, kappa, chosen, kappa == 0 or bool(unpinned))
-    return SelectionResult(tuple(chosen), objective, GREEDY, evaluations)
+    return SelectionResult(tuple(chosen), evaluate_pinning(g, sigma, kappa, chosen), GREEDY,
+                           evaluations)
 
 
 def degree_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:
@@ -157,18 +155,19 @@ def degree_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
 def exhaustive_select(g: Graph, sigma: float, kappa: float, budget: int) -> SelectionResult:
     """True argmax over all budget-subsets: the lexicographically smallest
     subset whose objective is within TIE_RTOL (lambda_max + kappa) of the
-    best, lambda_max the largest of the subsets' operators. Refuses when
-    C(N, budget) exceeds 10^6."""
+    best, lambda_max the largest of the operators solved (no subset the
+    structure fixes at 0.0 is). Refuses when C(N, budget) exceeds 10^6."""
     budget = _check_budget(g, budget)
+    _check_gains(sigma, kappa)
     count = math.comb(g.num_nodes, budget)
     if count > EXHAUSTIVE_GUARD:
         msg = f"{count} subsets exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
         raise CombinatorialGuardError(msg, subset_count=count)
-    roots = component_roots(g)
-    vals, top = np.empty(count), 0.0
+    vals, top = np.zeros(count), 0.0
     for k, subset in enumerate(itertools.combinations(range(g.num_nodes), budget)):
-        vals[k], spectrum = _solve(g, sigma, kappa, subset, _zero_modes(roots, kappa, subset) > 0)
-        top = max(top, spectrum.eigenvalues[0])
+        if not _zero_modes(g, kappa, subset):
+            w = eig_values(pinned_operator(g, sigma, kappa, subset))
+            vals[k], top = pinned_lambda_min_gt0(g, sigma, kappa, subset, w), max(top, w[0])
     best = int(np.argmax(vals >= vals.max() - TIE_RTOL * (top + kappa)))
     subset = next(itertools.islice(itertools.combinations(range(g.num_nodes), budget), best, None))
     return SelectionResult(subset, float(vals[best]), EXHAUSTIVE, count)

@@ -5,9 +5,9 @@ order, reproducibly for identical input bytes. eig_values (eigvalsh) serves
 every quantity that reads no eigenvector; its O(N^2) guard is the trace and
 Frobenius identities. eig_sym (eigh) also returns eigenvectors, each fixed
 only up to sign (every consumer squares their entries or an overlap with
-them), guarded by the O(N^3) residual; only selection and lili_lower_max
-read them. The two may differ in an eigenvalue's last bits, so each quantity
-is always read from the same solve.
+them), guarded by the O(N^3) residual; only greedy selection's screen and
+lili_lower_max read them. The two may differ in an eigenvalue's last bits,
+so every eigenvalue the program reports is read from eig_values.
 """
 
 from __future__ import annotations

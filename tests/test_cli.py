@@ -278,14 +278,17 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert captured.out == "" and "cannot read config" in captured.err
 
 
-@pytest.mark.parametrize("text, message", [("{not json", "is not valid JSON"),
-                                           ("[1, 2]", "must be a JSON object")])
-def test_malformed_config_document_exits_2(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("data, message", [(b"{not json", "is not valid JSON"),
+                                           (b"[1, 2]", "must be a JSON object"),
+                                           (b"\xff\xfe{}", "cannot read config")])
+def test_malformed_config_document_exits_2(tmp_path, capsys, data, message):
+    # the last is not valid UTF-8, as a graph file that is not is read too
     path = tmp_path / "config.json"
-    path.write_text(text)
+    path.write_bytes(data)
     assert main(["kappa", str(path), "--json"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and message in captured.err
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
 
 
 def k5_linear_config(tmp_path, graph_file, c):

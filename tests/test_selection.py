@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,18 +16,22 @@ from pinnet import (
     degree_select,
     disjoint_union,
     erdos_renyi,
+    evaluate,
     evaluate_pinning,
     exhaustive_select,
     greedy_select,
     is_connected,
     path_graph,
+    pinned_lambda_min_gt0,
     pinned_operator,
     star_graph,
+    to_edge_list,
 )
+from pinnet.cli import main
 from pinnet.selection import TIE_RTOL, _secular_scores
 from pinnet.spectral import eig_sym
 
-from helpers import bisect_secular_scores, graphs, random_connected_graph
+from helpers import bisect_secular_scores, graphs, random_connected_graph, scalar_spec
 
 
 def reference_round(g, sigma, kappa, chosen):
@@ -122,6 +128,58 @@ def test_evaluate_pinning_validation():
         evaluate_pinning(path_graph(3), 0.0, 1.0, ())
     with pytest.raises(ValidationError):
         evaluate_pinning(path_graph(3), 1.0, -1.0, ())
+
+
+def every_component_pinned(g, pinned) -> bool:
+    return all(set(c) & set(pinned) for c in connected_components(g))
+
+
+ONE_ANSWER_GRAPHS = {
+    "er120": (erdos_renyi(120, 0.08, seed=7), 5.0),
+    "er60": (erdos_renyi(60, 0.1, seed=1), 3.0),
+    "er12": (erdos_renyi(12, 0.3, seed=0), 2.0),
+    "k5p6": (disjoint_union(complete_graph(5), path_graph(6)), 5.0),
+}
+
+
+@pytest.mark.parametrize("case, select, budget", [
+    ("er120", greedy_select, 3), ("er120", degree_select, 3),
+    ("er60", greedy_select, 2), ("er60", degree_select, 2), ("er60", exhaustive_select, 2),
+    ("er12", greedy_select, 3), ("er12", exhaustive_select, 3),
+    ("k5p6", greedy_select, 2), ("k5p6", degree_select, 2), ("k5p6", exhaustive_select, 2),
+])
+def test_objective_is_the_one_answer(tmp_path, capsys, case, select, budget):
+    # bit for bit, with no tolerance: the objective is evaluate_pinning of the
+    # picks, and with every component pinned it is what evaluate and pinnet
+    # spectrum report for them (0.09365309608884687 for greedy on ER(120))
+    g, kappa = ONE_ANSWER_GRAPHS[case]
+    result = select(g, 1.0, kappa, budget)
+    assert result.objective == evaluate_pinning(g, 1.0, kappa, result.pinned)
+    if not every_component_pinned(g, result.pinned):
+        assert result.objective == 0.0  # degree's two K5 hubs
+        return
+    path = tmp_path / "g.txt"
+    path.write_text(to_edge_list(g))
+    pins = ",".join(map(str, result.pinned))
+    assert main(["spectrum", str(path), "--kappa", repr(kappa), "--pinned", pins, "--json"]) == 0
+    reported = json.loads(capsys.readouterr().out)["lambda_min_gt0_pinned"]
+    exact = evaluate(scalar_spec(g, 1.0, kappa, result.pinned, 0.1)).exact_lambda
+    assert result.objective == pinned_lambda_min_gt0(g, 1.0, kappa, result.pinned)
+    assert result.objective == exact == reported
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(max_nodes=8), kappa=st.sampled_from([0.0, 1e-12, 2.0, 1e4]),
+       budget=st.integers(0, 8))
+def test_objective_is_the_one_answer_property(g, kappa, budget):
+    budget = min(budget, g.num_nodes)
+    for select in (greedy_select, degree_select, exhaustive_select):
+        result = select(g, 1.0, kappa, budget)
+        assert result.objective == evaluate_pinning(g, 1.0, kappa, result.pinned)
+        if kappa > 0 and every_component_pinned(g, result.pinned):
+            assert result.objective == pinned_lambda_min_gt0(g, 1.0, kappa, result.pinned)
+        else:
+            assert result.objective == 0.0
 
 
 def test_greedy_matches_exhaustive_star():

@@ -26,7 +26,6 @@ from pinnet import (
 )
 from pinnet.bounds import _numerical_rank
 from pinnet.criteria import _zero_modes
-from pinnet.graphs import component_roots
 
 from helpers import break_eigh, break_eigvalsh, no_convergence, scalar_spec
 
@@ -164,14 +163,14 @@ def test_values_only_guard_catches_a_shifted_eigenvalue(monkeypatch, solve):
 
 
 def test_values_only_guard_reaches_every_eigenvalue_quantity(monkeypatch):
-    picked = greedy_select(cycle_graph(6), 1.0, 3.0, 2)
     break_eigvalsh(monkeypatch)
     with pytest.raises(NumericalError):
         spectral_norm([[3.0, 1.0], [0.0, 2.0]])
     with pytest.raises(NumericalError):
         scalar_spec(path_graph(3), 1.0, 2.0, (0,), 0.1)  # Q's definiteness check
-    # the vector solve has its own guard, so selection is unaffected
-    assert greedy_select(cycle_graph(6), 1.0, 3.0, 2) == picked
+    # greedy screens with the vector solve, but reads its objective from this one
+    with pytest.raises(NumericalError):
+        greedy_select(cycle_graph(6), 1.0, 3.0, 2)
 
 
 def test_residual_guard_catches_a_bad_eigenvector(monkeypatch):
@@ -182,11 +181,10 @@ def test_residual_guard_catches_a_bad_eigenvector(monkeypatch):
     with pytest.raises(NumericalError, match="residual"):
         eig_sym(op)
     with pytest.raises(NumericalError):
-        evaluate_pinning(g, 1.0, 3.0, (0, 5))
-    with pytest.raises(NumericalError):
-        greedy_select(g, 1.0, 3.0, 2)
-    # quantities that read no eigenvector never reach eigh
+        greedy_select(g, 1.0, 3.0, 2)  # its screen reads eigenvectors
+    # quantities that read no eigenvector never reach eigh, selection's objective included
     assert eig_values(op).tolist() == expected.tolist()
+    assert evaluate_pinning(g, 1.0, 3.0, (0, 5)) == expected[-1]
 
 
 def test_solver_failure_is_a_numerical_error(monkeypatch):
@@ -235,10 +233,9 @@ def test_disconnected_zero_eigenvalue_count():
     # one zero per component, at kappa = 0 and wherever a component has no pin
     g = disjoint_union(path_graph(3), path_graph(2))
     g = disjoint_union(g, complete_graph(4))
-    roots = component_roots(g)
-    assert _zero_modes(roots, 0.0, ()) == _zero_modes(roots, 0.0, (0, 3, 5)) == 3
-    assert _zero_modes(roots, 2.0, (0, 1)) == 2
-    assert _zero_modes(roots, 2.0, (0, 3, 5)) == 0
+    assert _zero_modes(g, 0.0, ()) == _zero_modes(g, 0.0, (0, 3, 5)) == 3
+    assert _zero_modes(g, 2.0, (0, 1)) == 2
+    assert _zero_modes(g, 2.0, (0, 3, 5)) == 0
     w = eig_sym(laplacian(g)).eigenvalues
     assert np.abs(w[-3:]).max() <= 1e-12 * w[0]
     assert lambda_min_gt0(w, 3) == pytest.approx(1.0, rel=1e-12)
