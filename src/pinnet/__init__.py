@@ -9,7 +9,6 @@ dynamics with an empirical Lyapunov-decay check.
 from .bounds import (
     ArrowMatrix,
     BoundKind,
-    BoundReport,
     assemble_arrow,
     lili_lower_max,
     lili_term,
@@ -30,9 +29,7 @@ from .criteria import (
     sigma_lambda_min_gt0,
 )
 from .dynamics import (
-    DecayReport,
     LinearDynamics,
-    NodeDynamics,
     ScalarSaturatedDynamics,
     SimConfig,
     Trajectory,
@@ -55,7 +52,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    IncidenceMatrix,
     complete_graph,
     component_roots,
     connected_components,
@@ -82,9 +78,7 @@ from .selection import (
     greedy_select,
 )
 from .spectral import (
-    Spectrum,
     SymMatrix,
-    as_sym_matrix,
     eig_sym,
     eig_values,
     lambda_max,

@@ -16,6 +16,7 @@ slack, so tightness can be tabulated.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +101,10 @@ def assemble_arrow(x, big_x) -> ArrowMatrix:
 
 
 def lili_term(gap: float, weight_sq: float) -> float:
-    """2 w^2 / (eta + sqrt(eta^2 + 4 w^2)); zero when the weight vanishes."""
+    """2 w^2 / (eta + sqrt(eta^2 + 4 w^2)), zero at w = 0; by hypot, so no square overflows."""
     if weight_sq <= 0.0:
         return 0.0
-    return 2.0 * weight_sq / (gap + np.sqrt(gap * gap + 4.0 * weight_sq))
+    return weight_sq / (0.5 * gap + math.hypot(0.5 * gap, math.sqrt(weight_sq)))
 
 
 def lili_upper_max(arr: ArrowMatrix) -> BoundReport:

@@ -153,15 +153,6 @@ def load_analysis_config(path: str):
     # null means absent
     override = _field(cfg, "f_bound_override", lambda v: v if v is None else _number(v),
                       default=None)
-    if override is not None:
-        if override < f_bound * (1.0 - 1e-12):
-            print(
-                f"warning: f_bound_override {override:.6g} is below the "
-                f"closed-form bound {f_bound:.6g}",
-                file=sys.stderr,
-            )
-        f_bound = override
-
     spec = criteria.PinnedSystemSpec(
         graph=g,
         sigma=_field(cfg, "sigma", _number),
@@ -170,8 +161,11 @@ def load_analysis_config(path: str):
         k_matrix=_matrix_from(cfg, "k", n),
         q_matrix=SymMatrix(_matrix_from(cfg, "q", n)),
         pinned=_field(cfg, "pinned", lambda v: tuple(_integer(i) for i in v)),
-        f_bound=f_bound,
+        f_bound=f_bound if override is None else override,
     )
+    if override is not None and override < f_bound * (1.0 - 1e-12):  # a valid spec warns
+        print(f"warning: f_bound_override {override:.6g} is below the "
+              f"closed-form bound {f_bound:.6g}", file=sys.stderr)
     return spec, dyn, cfg
 
 
@@ -244,15 +238,14 @@ def _step_rows(g, sigma, kappa, pinned, s, exact):
     """Per pin append: the arrow lower bounds and the exact lambda_min>0 after it.
 
     s and exact are lambda_min>0 before the first and after the last append.
-    The bounds are computed as certificate_bound computes its terms: in units
-    of 2^e, e the exponent of s, with the border weight sigma kappa deg_i in
-    units of 2^(2e), so they neither underflow nor overflow at extreme scales.
+    The bounds are computed as certificate_bound computes its terms, in
+    criteria._in_units of max(s, kappa) (the weight sigma kappa deg_i in squared
+    units), so they neither underflow nor overflow at extreme scales or ratios.
     """
     deg = degrees(g)
     mus = [pinned_lambda_min_gt0(g, sigma, kappa, pinned[:k])
            for k in range(1, len(pinned))] + [exact]
-    _, e = math.frexp(s)
-    sigma_u, kappa_u = math.ldexp(sigma, -e), math.ldexp(kappa, -e)
+    e, (sigma_u, kappa_u) = criteria._in_units(max(s, kappa), sigma, kappa)
     rows = []
     for step, (node, mu_prev, mu) in enumerate(zip(pinned, [s] + mus, mus), start=1):
         w = sigma_u * kappa_u * float(deg[node])

@@ -71,8 +71,9 @@ QB_DEGENERATE_TOL = 1e-12
 Q_PD_RTOL = 1e-10
 
 
-def _check_gains(sigma: float, kappa: float) -> None:
-    """The gain rule: sigma > 0 and kappa >= 0, both finite."""
+def _check_gains(g: Graph, sigma: float, kappa: float) -> None:
+    """The gain rule: sigma > 0 and kappa >= 0, both finite and neither subnormal,
+    and sigma * max degree + kappa, which bounds every entry of sigma L + kappa P, finite."""
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if kappa < 0:
@@ -80,6 +81,16 @@ def _check_gains(sigma: float, kappa: float) -> None:
     for name, value in (("sigma", sigma), ("kappa", kappa)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
+        if 0 < value < 2.0**-1022:
+            raise ValidationError(f"{name} must not be subnormal (below 2^-1022), got {value}")
+    if not math.isfinite(sigma * float(degrees(g).max()) + kappa):
+        raise ValidationError("matrix entries must be finite")
+
+
+def _in_units(unit: float, *values: float) -> tuple[int, list[float]]:
+    """e, the exponent of unit, and each value / 2^e: exact wherever it stays in range."""
+    _, e = math.frexp(unit)
+    return e, [math.ldexp(x, -e) for x in values]
 
 
 def _check_pins(pinned, num_nodes: int) -> tuple[int, ...]:
@@ -99,7 +110,7 @@ class PinnedSystemSpec:
 
     Q is user-supplied and verified, never synthesized; f_bound is the
     caller's bound on the mean-value coupling matrix of the node dynamics
-    (dynamics_sim supplies closed forms for the shipped families).
+    (dynamics supplies closed forms for the shipped families).
     """
 
     graph: Graph
@@ -112,7 +123,7 @@ class PinnedSystemSpec:
     f_bound: float
 
     def __post_init__(self):
-        _check_gains(self.sigma, self.kappa)
+        _check_gains(self.graph, self.sigma, self.kappa)
         if self.f_bound < 0:
             raise ValidationError(f"f_bound must be non-negative, got {self.f_bound}")
         if not math.isfinite(self.f_bound):
@@ -137,6 +148,11 @@ class PinnedSystemSpec:
             raise ValidationError(
                 f"Q must be positive definite: lambda_min = {w[-1]:.3e}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            qb = q.array @ b
+            qb_sym_max = float(np.abs(qb + qb.T).max())  # of the structural identity's side
+        if not math.isfinite(self.kappa * qb_sym_max):
+            raise ValidationError("kappa (QB + B^T Q^T) must be finite")
         object.__setattr__(self, "pinned", _check_pins(self.pinned, self.graph.num_nodes))
 
     @property
@@ -232,15 +248,12 @@ class CriterionReport:
 
 
 def pinned_operator(g: Graph, sigma: float, kappa: float, pinned) -> SymMatrix:
-    """sigma L + kappa P as a dense symmetric matrix, P the 0/1 pinned diagonal:
-    one scaled copy of g's memoised Laplacian with kappa added at the pins.
-    It is exactly symmetric by construction, so of the matrix checks only
-    finiteness (sigma deg_i can overflow) is made."""
-    _check_gains(sigma, kappa)
+    """sigma L + kappa P, P the 0/1 pinned diagonal: one scaled copy of g's memoised
+    Laplacian with kappa added at the pins, exactly symmetric and, by the gain rule, finite."""
+    _check_gains(g, sigma, kappa)
     pins = list(_check_pins(pinned, g.num_nodes))
-    with np.errstate(over="ignore"):  # an overflow is reported by the finiteness check
-        arr = sigma * laplacian(g).array
-        arr[pins, pins] += kappa
+    arr = sigma * laplacian(g).array
+    arr[pins, pins] += kappa
     return SymMatrix._exact(arr)
 
 
@@ -265,20 +278,17 @@ def sigma_lambda_min_gt0(spec: PinnedSystemSpec) -> float:
 def certificate_bound(s: float, sigma: float, kappa: float, pinned_degrees) -> float:
     """s - sum_i lili_term(kappa - s, sigma kappa deg_i); kappa > s unless no pins.
 
-    Computed in units of 2^e, e the exponent of s. Dividing by 2^e is exact,
-    so the bits are the plain formula's wherever that stays in range, and
-    sigma kappa deg_i no longer underflows or overflows at extreme scales."""
+    Computed _in_units of max(s, kappa), so sigma kappa deg_i and the gap
+    neither underflow nor overflow at extreme scales or ratios."""
     if len(pinned_degrees) == 0:
         return s
     if kappa <= s:
         raise PreconditionError(
             f"kappa = {kappa:.6g} must exceed sigma*lambda_min>0(L) = {s:.6g}"
         )
-    _, e = math.frexp(s)
-    s, sigma, kappa = (math.ldexp(x, -e) for x in (s, sigma, kappa))
-    eta = kappa - s
+    e, (s, sigma, kappa) = _in_units(max(s, kappa), s, sigma, kappa)
     return math.ldexp(
-        s - sum(lili_term(eta, sigma * kappa * float(d)) for d in pinned_degrees), e)
+        s - sum(lili_term(kappa - s, sigma * kappa * float(d)) for d in pinned_degrees), e)
 
 
 def iterative_bound(spec: PinnedSystemSpec) -> float:
@@ -340,8 +350,7 @@ def kappa_threshold(spec: PinnedSystemSpec) -> float:
             f"certificate saturates below the threshold, no kappa suffices: {inequality}",
             inequality,
         )
-    _, e = math.frexp(s)  # in units of 2^e, as certificate_bound
-    s, margin, sigma = (math.ldexp(x, -e) for x in (s, margin, spec.sigma))
+    e, (s, margin, sigma) = _in_units(s, s, margin, spec.sigma)
     return math.ldexp(s * margin / (margin - sigma * deg_sum), e)
 
 

@@ -50,7 +50,7 @@ def evaluate_pinning(g: Graph, sigma: float, kappa: float, pinned) -> float:
     """Exact lambda_min(sigma L + kappa P): 0.0 with no solve where the
     structure makes the operator singular, else pinned_lambda_min_gt0."""
     pinned = _check_pins(pinned, g.num_nodes)  # before the labels read them
-    _check_gains(sigma, kappa)
+    _check_gains(g, sigma, kappa)
     if _zero_modes(g, kappa, pinned):
         return 0.0
     return pinned_lambda_min_gt0(g, sigma, kappa, pinned)
@@ -80,16 +80,16 @@ def _secular_scores(base: Spectrum, kappa: float, nodes) -> np.ndarray:
     root from 0, quadratically: passes stop once no tau moves by more than 4
     ulps of lam_max + kappa, typically after 3 or 4. Where z_1 or z_2
     vanishes, or lam_1 = lam_2, the root ends on the bracket's end, which is
-    then the eigenvalue.
+    then the eigenvalue. A term that overflows (kappa^2 ones past 1e154) raises.
     """
     lam = base.eigenvalues[::-1]
     w = kappa * base.eigenvectors[list(nodes)][:, ::-1] ** 2
     s1, w, d = w[:, 0], w[:, 1:], lam[1:] - lam[0]
     delta = d[0] if len(d) else s1  # one node: the model's root is then s1
     hi = np.minimum(delta, s1)
-    tol = 4.0 * np.finfo(float).eps * abs(lam[-1] + kappa)
+    tol = 4.0 * np.finfo(float).eps * abs(float(lam[-1]) + kappa)
     tau = np.zeros(len(s1))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
         # A root on lam_2's own pole (z_2 = 0, a double eigenvalue) is reached
         # only linearly, but each pass more than halves the distance to it.
         for _ in range(64):
@@ -135,8 +135,11 @@ def greedy_select(g: Graph, sigma: float, kappa: float, budget: int) -> Selectio
             if len(unpinned):  # the one component without a pin
                 cands = np.flatnonzero(component_roots(g) == unpinned[0]).tolist()
             base = eig_sym(pinned_operator(g, sigma, kappa, chosen))
-            scores = _secular_scores(base, kappa, cands)
-            band = TIE_RTOL * (base.eigenvalues[0] + kappa)
+            try:
+                scores = _secular_scores(base, kappa, cands)
+            except FloatingPointError:  # the screen overflows: score each candidate densely
+                scores = np.array([evaluate_pinning(g, sigma, kappa, chosen + [i]) for i in cands])
+            band = TIE_RTOL * (float(base.eigenvalues[0]) + kappa)  # inf: all tie
             pick = cands[int(np.argmax(scores >= scores.max() - band))]
         chosen.append(pick)
     return SelectionResult(tuple(chosen), evaluate_pinning(g, sigma, kappa, chosen), GREEDY,
@@ -158,7 +161,7 @@ def exhaustive_select(g: Graph, sigma: float, kappa: float, budget: int) -> Sele
     best, lambda_max the largest of the operators solved (no subset the
     structure fixes at 0.0 is). Refuses when C(N, budget) exceeds 10^6."""
     budget = _check_budget(g, budget)
-    _check_gains(sigma, kappa)
+    _check_gains(g, sigma, kappa)
     count = math.comb(g.num_nodes, budget)
     if count > EXHAUSTIVE_GUARD:
         msg = f"{count} subsets exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
@@ -168,6 +171,6 @@ def exhaustive_select(g: Graph, sigma: float, kappa: float, budget: int) -> Sele
         if not _zero_modes(g, kappa, subset):
             w = eig_values(pinned_operator(g, sigma, kappa, subset))
             vals[k], top = pinned_lambda_min_gt0(g, sigma, kappa, subset, w), max(top, w[0])
-    best = int(np.argmax(vals >= vals.max() - TIE_RTOL * (top + kappa)))
+    best = int(np.argmax(vals >= vals.max() - TIE_RTOL * (float(top) + kappa)))
     subset = next(itertools.islice(itertools.combinations(range(g.num_nodes), budget), best, None))
     return SelectionResult(subset, float(vals[best]), EXHAUSTIVE, count)

@@ -1,10 +1,7 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +23,15 @@ from pinnet.cli import main
 from pinnet.dynamics import MAX_WORKERS, MIN_ROWS_PER_WORKER
 
 from helpers import break_eigh, break_eigvalsh, no_convergence, scalar_spec
+from test_cli_contract import check_contract, run_cli, strict_json
+
+
+def contract(argv, code):
+    """argv's run, through the CLI contract's shared check, ending in code."""
+    run = run_cli(argv)
+    check_contract(argv, run)
+    assert run.code == code, run
+    return run
 
 
 @pytest.fixture
@@ -101,25 +107,21 @@ def test_spectrum_human_output(graph_file, capsys):
     assert "lambda_min>0(L)" in out
 
 
-def test_malformed_graph_exits_2(tmp_path, capsys):
+def test_malformed_graph_exits_2(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("N 2\n0 zero\n")
-    assert main(["spectrum", str(bad)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "error" in contract(["spectrum", str(bad)], 2).err
 
 
-def test_missing_graph_exits_2(tmp_path, capsys):
-    assert main(["spectrum", str(tmp_path / "nope.txt")]) == 2
+def test_missing_graph_exits_2(tmp_path):
+    contract(["spectrum", str(tmp_path / "nope.txt")], 2)
 
 
 @pytest.mark.parametrize("command", ["bounds", "spectrum"])
 @pytest.mark.parametrize("pinned", ["7", "-1", "0,0"])
-def test_bad_pinned_exits_2(graph_file, capsys, command, pinned):
+def test_bad_pinned_exits_2(graph_file, command, pinned):
     path = graph_file(complete_graph(5), "k5.txt")
-    assert main([command, path, "--kappa", "50", "--pinned", pinned]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "pinned ind" in captured.err
+    assert "pinned ind" in contract([command, path, "--kappa", "50", "--pinned", pinned], 2).err
 
 
 @pytest.mark.parametrize(
@@ -135,12 +137,9 @@ def test_bad_pinned_exits_2(graph_file, capsys, command, pinned):
     ids=["bounds-sigma0", "spectrum-sigma0", "spectrum-sigma-1", "spectrum-kappa-1",
          "bounds-sigma-1", "bounds-kappa-1"],
 )
-def test_bad_gains_exit_2(graph_file, capsys, argv):
+def test_bad_gains_exit_2(graph_file, argv):
     path = graph_file(path_graph(4), "p4.txt")
-    assert main([argv[0], path, *argv[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be" in captured.err
+    assert "must be" in contract([argv[0], path, *argv[1:]], 2).err
 
 
 def test_bounds_path3(graph_file, capsys):
@@ -212,52 +211,39 @@ def test_kappa_certified(tmp_path, graph_file, capsys):
     assert payload["structural_ok"] is True
 
 
-def test_kappa_threshold_unattainable_exits_3(tmp_path, graph_file, capsys):
+def test_kappa_threshold_unattainable_exits_3(tmp_path, graph_file):
     path = graph_file(path_graph(3), "p3.txt")
     doc = config_doc(path, 1.0, 3.0, [0], {"kind": "scalar_saturated", "a": 0.4, "b": 0.1})
-    cfg = write_config(tmp_path, doc)
-    code = main(["kappa", cfg, "--json"])
-    captured = capsys.readouterr()
-    assert code == 3
-    payload = json.loads(captured.out)
-    assert payload["kappa_threshold"] is None
-    assert "degree sum" in captured.err
+    run = contract(["kappa", write_config(tmp_path, doc), "--json"], 3)
+    assert json.loads(run.out)["kappa_threshold"] is None
+    assert "degree sum" in run.err
 
 
-def test_kappa_unpinned_component_exits_3(tmp_path, graph_file, capsys):
+def test_kappa_unpinned_component_exits_3(tmp_path, graph_file):
     path = graph_file(pinnet.disjoint_union(complete_graph(5), complete_graph(5)), "2k5.txt")
     doc = config_doc(path, 1.0, 300.0, [0], {"kind": "scalar_saturated", "a": 0.3, "b": 0.2})
-    cfg = write_config(tmp_path, doc)
-    code = main(["kappa", cfg, "--json"])
-    captured = capsys.readouterr()
-    assert code == 3
-    payload = json.loads(captured.out)
+    run = contract(["kappa", write_config(tmp_path, doc), "--json"], 3)
+    payload = json.loads(run.out)
     assert payload["verdict_theorem"] is False
     assert payload["verdict_exact"] is False
     assert payload["reasons"]["unpinned_component"] == "component {5..9} has no pinned node"
-    assert "component {5..9} has no pinned node" in captured.err
+    assert "component {5..9} has no pinned node" in run.err
 
 
-def test_kappa_f_condition_fails_exits_3(tmp_path, graph_file, capsys):
+def test_kappa_f_condition_fails_exits_3(tmp_path, graph_file):
     path = graph_file(path_graph(3), "p3.txt")
     doc = config_doc(path, 1.0, 3.0, [0], {"kind": "scalar_saturated", "a": 1.0, "b": 0.5})
-    cfg = write_config(tmp_path, doc)
-    code = main(["kappa", cfg, "--json"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "rhs_threshold" in captured.err
-    assert json.loads(captured.out)["f_condition_ok"] is False
+    run = contract(["kappa", write_config(tmp_path, doc), "--json"], 3)
+    assert "rhs_threshold" in run.err
+    assert json.loads(run.out)["f_condition_ok"] is False
 
 
-def test_kappa_non_finite_sigma_exits_2(tmp_path, graph_file, capsys):
+def test_kappa_non_finite_sigma_exits_2(tmp_path, graph_file):
     path = graph_file(complete_graph(3), "k3.txt")
     doc = config_doc(path, 1.0, 20.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1})
     doc["sigma"] = float("nan")
     cfg = write_config(tmp_path, doc)  # json writes the NaN literal, which json.loads accepts
-    assert main(["kappa", cfg, "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "sigma must be finite" in captured.err
+    assert "sigma must be finite" in contract(["kappa", cfg, "--json"], 2).err
 
 
 def test_kappa_structural_violation_exits_0(tmp_path, graph_file, capsys):
@@ -271,24 +257,21 @@ def test_kappa_structural_violation_exits_0(tmp_path, graph_file, capsys):
     assert payload["verdict_theorem"] is False
 
 
-def test_unreadable_config_exits_2(tmp_path, capsys):
+def test_unreadable_config_exits_2(tmp_path):
     # a directory cannot be read as a file
-    assert main(["kappa", str(tmp_path), "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "cannot read config" in captured.err
+    assert "cannot read config" in contract(["kappa", str(tmp_path), "--json"], 2).err
 
 
 @pytest.mark.parametrize("data, message", [(b"{not json", "is not valid JSON"),
                                            (b"[1, 2]", "must be a JSON object"),
                                            (b"\xff\xfe{}", "cannot read config")])
-def test_malformed_config_document_exits_2(tmp_path, capsys, data, message):
+def test_malformed_config_document_exits_2(tmp_path, data, message):
     # the last is not valid UTF-8, as a graph file that is not is read too
     path = tmp_path / "config.json"
     path.write_bytes(data)
-    assert main(["kappa", str(path), "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1 and message in captured.err
+    err = contract(["kappa", str(path), "--json"], 2).err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and message in err
 
 
 def k5_linear_config(tmp_path, graph_file, c):
@@ -298,17 +281,14 @@ def k5_linear_config(tmp_path, graph_file, c):
     return write_config(tmp_path, doc, name=f"k5_{c!r}.json")
 
 
-def test_kappa_certificate_is_scale_free(tmp_path, graph_file, capsys):
+def test_kappa_certificate_is_scale_free(tmp_path, graph_file):
     # sigma kappa deg_i underflows at 1e-300 and overflows at 1e160 unless the
     # certificate is computed in units of a power of two
     runs = {}
     for c in (1.0, 1e-300, 1e160):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["kappa", k5_linear_config(tmp_path, graph_file, c), "--json"])
-        captured = capsys.readouterr()
-        assert code == 0 and captured.err == ""
-        runs[c] = strict_json(captured.out)
+        run = contract(["kappa", k5_linear_config(tmp_path, graph_file, c), "--json"], 0)
+        assert run.err == ""
+        runs[c] = strict_json(run.out)
     unit = runs.pop(1.0)
     assert unit["iterative_bound"] == 0.6992647456322789
     assert unit["kappa_threshold"] == pytest.approx(45.0, rel=1e-12)
@@ -320,19 +300,16 @@ def test_kappa_certificate_is_scale_free(tmp_path, graph_file, capsys):
             assert payload[key] == unit[key]
 
 
-def test_bounds_step_rows_are_scale_free(graph_file, capsys):
+def test_bounds_step_rows_are_scale_free(graph_file):
     # sigma kappa deg_i underflows at 1e-300 and overflows at 1e160 unless the
     # per-step rows are computed in units of a power of two, as the certificate is
     path = graph_file(complete_graph(5), "k5.txt")
     runs = {}
     for c in (1.0, 2.0**-990, 2.0**500, 1e-300, 1e160):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["bounds", path, "--pinned", "0,1,2", "--sigma", repr(c),
-                         "--kappa", repr(10.0 * c), "--json"])
-        captured = capsys.readouterr()
-        assert code == 0 and captured.err == ""
-        runs[c] = strict_json(captured.out)["steps"]
+        run = contract(["bounds", path, "--pinned", "0,1,2", "--sigma", repr(c),
+                        "--kappa", repr(10.0 * c), "--json"], 0)
+        assert run.err == ""
+        runs[c] = strict_json(run.out)["steps"]
     unit = runs.pop(1.0)
     assert [row["mathias"] is None for row in unit] == [False] * 3
     for c, rows in runs.items():
@@ -403,15 +380,12 @@ def test_select_text_reports_evaluations(graph_file, capsys):
     assert lines[-1] == "evaluations: 7"
 
 
-def test_tol_option_removed(graph_file, tmp_path, capsys):
+def test_tol_option_removed(graph_file, tmp_path):
     doc = config_doc(graph_file(complete_graph(5), "k5.txt"), 1.0, 45.0, (0,),
                      {"kind": "scalar_saturated", "a": 0.3, "b": 0.2})
     cfg = write_config(tmp_path, doc)
     for command in ("kappa", "simulate"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, cfg, "--tol", "1e-9"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert "unrecognized arguments: --tol" in contract([command, cfg, "--tol", "1e-9"], 2).err
 
 
 def test_select_budget_zero(graph_file, capsys):
@@ -424,17 +398,13 @@ def test_select_budget_zero(graph_file, capsys):
     assert payload["objective"] == 0.0
 
 
-def test_select_budget_too_big_exits_2(graph_file, capsys):
-    path = graph_file(path_graph(3), "p3.txt")
-    assert main(["select", path, "--kappa", "5", "--budget", "7"]) == 2
+def test_select_budget_too_big_exits_2(graph_file):
+    contract(["select", graph_file(path_graph(3), "p3.txt"), "--kappa", "5", "--budget", "7"], 2)
 
 
-def test_select_guard_exits_3(graph_file, capsys):
+def test_select_guard_exits_3(graph_file):
     path = graph_file(path_graph(50), "p50.txt")
-    code = main(
-        ["select", path, "--kappa", "5", "--budget", "25", "--method", "exhaustive"]
-    )
-    assert code == 3
+    contract(["select", path, "--kappa", "5", "--budget", "25", "--method", "exhaustive"], 3)
 
 
 def test_simulate_certified_decay(tmp_path, graph_file, capsys):
@@ -506,53 +476,6 @@ def test_simulate_diverged_run_not_decayed(tmp_path, graph_file, capsys):
     assert summary["decayed"] is False
 
 
-def strict_json(text):
-    def refuse(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    return json.loads(text, parse_constant=refuse)
-
-
-def test_simulate_huge_x0_prints_strict_json(tmp_path, graph_file, capsys):
-    # the only finite sample holds the error 1e200, whose square overflows a float
-    path = graph_file(path_graph(3), "p3.txt")
-    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": [1e200, 0.0, 0.0], "s0": [0.0]}
-    doc = config_doc(path, 1.0, 1.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
-                     sim=sim)
-    code = main(["simulate", write_config(tmp_path, doc), "--json"])
-    summary = strict_json(capsys.readouterr().out)
-    assert code == 0
-    assert summary["final_error_norm"] == 1e200
-    assert summary["diverged"] is True and summary["decayed"] is False
-
-
-def test_simulate_norm_past_largest_float_prints_null(tmp_path, graph_file, capsys):
-    # ||e(0)|| = 1.7e308 sqrt(2) exceeds the largest float: null, not Infinity
-    path = graph_file(path_graph(3), "p3.txt")
-    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": [1.7e308, 1.7e308, 0.0], "s0": [0.0]}
-    doc = config_doc(path, 1.0, 1.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
-                     sim=sim)
-    code = main(["simulate", write_config(tmp_path, doc), "--json"])
-    summary = strict_json(capsys.readouterr().out)
-    assert code == 0
-    assert summary["final_error_norm"] is None
-    assert summary["diverged"] is True and summary["steps"] == 0
-
-
-def test_simulate_overflowing_step_warns_of_nothing(tmp_path, graph_file, capsys):
-    # the first step overflows; diverged_at reports it, so numpy must not warn too
-    path = graph_file(path_graph(3), "p3.txt")
-    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": [1.7e308, 1.7e308, 0.0], "s0": [0.0]}
-    doc = config_doc(path, 1.0, 1.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
-                     sim=sim)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["simulate", write_config(tmp_path, doc), "--json"])
-    captured = capsys.readouterr()
-    assert code == 0 and captured.err == ""
-    assert strict_json(captured.out)["diverged"] is True
-
-
 @pytest.mark.parametrize("k", [25.0, 20.0])
 def test_kappa_structural_check_is_scale_free(tmp_path, graph_file, capsys, k):
     # QK + K^T Q^T = kappa (QB + B^T Q^T) fails at K = 25 and holds at K = 20
@@ -589,16 +512,12 @@ def test_kappa_huge_q_matches_unit_q(tmp_path, graph_file, capsys):
         assert payload["rhs_threshold"] == pytest.approx(unit["rhs_threshold"], rel=1e-12)
 
 
-def test_simulate_non_finite_dynamics_exits_2(tmp_path, graph_file, capsys):
+def test_simulate_non_finite_dynamics_exits_2(tmp_path, graph_file):
     path = graph_file(complete_graph(3), "k3.txt")
     sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
     doc = config_doc(path, 1.0, 20.0, [0], {"kind": "scalar_saturated", "a": float("nan"), "b": 0.1},
                      sim=sim, f_bound_override=0.3)
-    cfg = write_config(tmp_path, doc)
-    assert main(["simulate", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be finite" in captured.err
+    assert "must be finite" in contract(["simulate", write_config(tmp_path, doc)], 2).err
 
 
 @pytest.mark.parametrize(
@@ -606,7 +525,7 @@ def test_simulate_non_finite_dynamics_exits_2(tmp_path, graph_file, capsys):
     [("pinned", [0.9]), ("pinned", "01"), ("pinned", [True]), ("pinned", ["0"]),
      ("n", 1.7), ("n", True), ("n", "1"), ("x0.seed", 1.5), ("x0.seed", True), ("x0.seed", -1)],
 )
-def test_integer_config_fields_strict(tmp_path, graph_file, capsys, field, value):
+def test_integer_config_fields_strict(tmp_path, graph_file, field, value):
     sim = {"t0": 0.0, "t_end": 0.1, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
     doc = json.loads(Path(certified_k3_config(tmp_path, graph_file, sim=sim)).read_text())
     if field == "x0.seed":
@@ -616,10 +535,7 @@ def test_integer_config_fields_strict(tmp_path, graph_file, capsys, field, value
     cfg = write_config(tmp_path, doc, "strict.json")
     commands = ["simulate"] if field == "x0.seed" else ["kappa", "simulate"]  # kappa ignores sim
     for command in commands:
-        assert main([command, cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "malformed" in captured.err
+        assert "malformed" in contract([command, cfg], 2).err
 
 
 STRICT_SIM = {"t0": 0.0, "t_end": 2.0, "dt": 0.5, "x0": {"seed": 7, "low": -1.0}, "s0": [0.2]}
@@ -633,7 +549,7 @@ STRICT_SIM = {"t0": 0.0, "t_end": 2.0, "dt": 0.5, "x0": {"seed": 7, "low": -1.0}
      for v in (True, text)]
     + [(f, v) for f in ("b", "q", "sim.s0") for v in ([[True]], [["1"]])],
 )
-def test_number_config_fields_strict(tmp_path, graph_file, capsys, field, value):
+def test_number_config_fields_strict(tmp_path, graph_file, field, value):
     # each value would read as a valid number through float() or np.asarray
     doc = json.loads(Path(certified_k3_config(tmp_path, graph_file, sim=STRICT_SIM)).read_text())
     *sections, key = field.split(".")
@@ -644,14 +560,11 @@ def test_number_config_fields_strict(tmp_path, graph_file, capsys, field, value)
     cfg = write_config(tmp_path, doc, "strict.json")
     commands = ["simulate"] if sections[:1] == ["sim"] else ["kappa", "simulate"]  # kappa ignores sim
     for command in commands:
-        assert main([command, cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"config field {field!r} missing or malformed" in captured.err
+        assert f"config field {field!r} missing or malformed" in contract([command, cfg], 2).err
 
 
 @pytest.mark.parametrize("field", ["b", "dynamics.b", "sim.x0.seed", "sim.dt", "dynamics"])
-def test_config_error_names_the_full_path(tmp_path, graph_file, capsys, field):
+def test_config_error_names_the_full_path(tmp_path, graph_file, field):
     # the top-level b matrix and dynamics.b are told apart
     doc = json.loads(Path(certified_k3_config(tmp_path, graph_file, sim=STRICT_SIM)).read_text())
     *sections, key = field.split(".")
@@ -660,32 +573,30 @@ def test_config_error_names_the_full_path(tmp_path, graph_file, capsys, field):
         target = target[section]
     del target[key]
     cfg = write_config(tmp_path, doc, "missing.json")
-    assert main(["simulate", cfg]) == 2
     shown = "dynamics.kind" if field == "dynamics" else field
-    assert capsys.readouterr().err == f"error: config field {shown!r} missing or malformed\n"
+    err = contract(["simulate", cfg], 2).err
+    assert err == f"error: config field {shown!r} missing or malformed\n"
 
 
 @pytest.mark.parametrize("kind", [None, True, 3])
-def test_dynamics_kind_must_be_a_string(tmp_path, graph_file, capsys, kind):
+def test_dynamics_kind_must_be_a_string(tmp_path, graph_file, kind):
     # str() would read each as a name: "unknown dynamics kind 'None'"
     doc = json.loads(Path(certified_k3_config(tmp_path, graph_file, sim=STRICT_SIM)).read_text())
     doc["dynamics"]["kind"] = kind
     cfg = write_config(tmp_path, doc, "kind.json")
     for command in ("kappa", "simulate"):
-        assert main([command, cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: config field 'dynamics.kind' missing or malformed\n"
+        err = contract([command, cfg], 2).err
+        assert err == "error: config field 'dynamics.kind' missing or malformed\n"
 
 
 @pytest.mark.parametrize("sim", [None, [], "sim", {"t0": 0.0}])
-def test_missing_or_malformed_sim_block_names_sim_x0(tmp_path, graph_file, capsys, sim):
+def test_missing_or_malformed_sim_block_names_sim_x0(tmp_path, graph_file, sim):
     doc = json.loads(Path(certified_k3_config(tmp_path, graph_file)).read_text())
     if sim is not None:
         doc["sim"] = sim
     cfg = write_config(tmp_path, doc, "nosim.json")
-    assert main(["simulate", cfg]) == 2
-    assert capsys.readouterr().err == "error: config field 'sim.x0' missing or malformed\n"
+    err = contract(["simulate", cfg], 2).err
+    assert err == "error: config field 'sim.x0' missing or malformed\n"
 
 
 @pytest.mark.parametrize(
@@ -693,14 +604,12 @@ def test_missing_or_malformed_sim_block_names_sim_x0(tmp_path, graph_file, capsy
     [(1.0, -1.0), (float("nan"), 1.0), (-float("inf"), 1.0), (-1.0, float("inf")),
      (-1e308, 1e308), (1e308, -1e308)],
 )
-def test_simulate_bad_random_x0_bounds_exit_2(tmp_path, graph_file, capsys, low, high):
+def test_simulate_bad_random_x0_bounds_exit_2(tmp_path, graph_file, low, high):
     sim = {"t0": 0.0, "t_end": 0.1, "dt": 0.01, "x0": {"seed": 1, "low": low, "high": high},
            "s0": [0.2]}
     cfg = certified_k3_config(tmp_path, graph_file, sim=sim)  # json writes NaN and Infinity
-    assert main(["simulate", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: config field 'sim.x0' needs low <= high")
+    err = contract(["simulate", cfg], 2).err
+    assert err.startswith("error: config field 'sim.x0' needs low <= high")
 
 
 def test_simulate_equal_random_x0_bounds(tmp_path, graph_file, capsys):
@@ -781,27 +690,11 @@ def test_simulate_csv_bytes_stable_per_cpu_affinity(tmp_path, graph_file):
         assert csvs[0] == csvs[1] and csvs[0].count(b"\r\n") == 1 + 40 * 301
 
 
-@pytest.mark.parametrize("gains", [["--sigma", "1e308", "--kappa", "1"],
-                                   ["--sigma", "8e307", "--kappa", "1.5e308", "--pinned", "1"]])
-def test_spectrum_overflowing_operator_reports_only_the_finiteness_error(graph_file, capsys, gains):
-    # sigma deg_i, or sigma deg_i + kappa, overflows: the finiteness check is the one
-    # report, numpy warns of nothing
-    path = graph_file(path_graph(3), "p3.txt")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["spectrum", path, *gains, "--json"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", "error: matrix entries must be finite\n")
-
-
 @pytest.mark.parametrize("x0", [[[0.1], [float("nan")], [0.3]], [[0.1], [0.2]]])
-def test_simulate_bad_x0_exits_2(tmp_path, graph_file, capsys, x0):
+def test_simulate_bad_x0_exits_2(tmp_path, graph_file, x0):
     sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": x0, "s0": [0.2]}
     cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
-    assert main(["simulate", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "x0 must" in captured.err
+    assert "x0 must" in contract(["simulate", cfg], 2).err
 
 
 def test_main_reuses_one_parser(graph_file, capsys, monkeypatch):
@@ -827,7 +720,7 @@ def test_main_reuses_one_parser(graph_file, capsys, monkeypatch):
     ids=["ok", "validation", "precondition", "edgeless", "edgeless_bounds", "edgeless_budget_0",
          "numerical"],
 )
-def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, nodes, argv, code,
+def test_exit_code_follows_the_error_class(tmp_path, monkeypatch, nodes, argv, code,
                                            broken_solver):
     # edgeless graphs: L has no nonzero eigenvalue, so lambda_min>0 is undefined,
     # while select's lambda_min(sigma L + kappa P) is 0.0 with no pin
@@ -835,22 +728,17 @@ def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, nodes,
         monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     path = tmp_path / "edgeless.txt"
     path.write_text(f"N {nodes}\n")
-    assert main([argv[0], str(path), *argv[1:]]) == code
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") if code else captured.err == ""
-    if code:
-        assert captured.out == ""
+    err = contract([argv[0], str(path), *argv[1:]], code).err
+    assert err.startswith("error: ") if code else err == ""
 
 
-def test_failed_values_only_guard_exits_4(tmp_path, graph_file, capsys, monkeypatch):
+def test_failed_values_only_guard_exits_4(tmp_path, graph_file, monkeypatch):
     cfg = certified_k3_config(tmp_path, graph_file)
     path = graph_file(path_graph(5), "p5.txt")
     break_eigvalsh(monkeypatch)
     for argv in (["kappa", cfg, "--json"], ["spectrum", path, "--kappa", "2", "--pinned", "0"]):
-        assert main(argv) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: eigenvalues miss the trace or Frobenius identity")
+        err = contract(argv, 4).err
+        assert err.startswith("error: eigenvalues miss the trace or Frobenius identity")
 
 
 def test_failed_residual_guard_exits_4_where_eigenvectors_are_read(tmp_path, graph_file, capsys,
@@ -868,22 +756,18 @@ def test_failed_residual_guard_exits_4_where_eigenvectors_are_read(tmp_path, gra
 
 
 @pytest.mark.parametrize("pinned", ["1_0", "\u0661", "+1", "\uff11"])
-def test_pinned_list_reads_ascii_integers_only(graph_file, capsys, pinned):
+def test_pinned_list_reads_ascii_integers_only(graph_file, pinned):
     # int() would read 1_0 as 10 and the Arabic-Indic and fullwidth digits as 1
     path = graph_file(complete_graph(12), "k12.txt")
-    assert main(["spectrum", path, "--kappa", "2", "--pinned", pinned]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: bad pinned list {pinned!r}\n"
+    err = contract(["spectrum", path, "--kappa", "2", "--pinned", pinned], 2).err
+    assert err == f"error: bad pinned list {pinned!r}\n"
 
 
 @pytest.mark.parametrize("budget", ["1_0", "+2", "\u0662", " 2"])
-def test_budget_reads_ascii_integers_only(graph_file, capsys, budget):
+def test_budget_reads_ascii_integers_only(graph_file, budget):
     path = graph_file(path_graph(12), "p12.txt")
-    with pytest.raises(SystemExit) as exc:
-        main(["select", path, "--kappa", "2", "--budget", budget, "--method", "degree"])
-    assert exc.value.code == 2
-    assert f"argument --budget: invalid int value: {budget!r}" in capsys.readouterr().err
+    run = contract(["select", path, "--kappa", "2", "--budget", budget, "--method", "degree"], 2)
+    assert f"argument --budget: invalid int value: {budget!r}" in run.err
 
 
 @pytest.mark.parametrize("method", ["greedy", "degree", "exhaustive"])
@@ -897,9 +781,8 @@ def test_select_on_edgeless_and_one_node_graphs(tmp_path, capsys, method, n, bud
     assert (payload["pinned"], payload["objective"]) == (list(range(n)), 2.0)
 
 
-def test_simulate_missing_sim_block_exits_2(tmp_path, graph_file, capsys):
-    cfg = certified_k3_config(tmp_path, graph_file, sim=None)
-    assert main(["simulate", cfg]) == 2
+def test_simulate_missing_sim_block_exits_2(tmp_path, graph_file):
+    contract(["simulate", certified_k3_config(tmp_path, graph_file, sim=None)], 2)
 
 
 @pytest.mark.parametrize("target", ["missing-dir/run.csv", "."])
@@ -916,14 +799,12 @@ def test_simulate_unwritable_out_exits_2_before_the_run(tmp_path, graph_file, ca
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_simulate_full_disk_exits_2_with_one_line(tmp_path, graph_file, capsys):
+def test_simulate_full_disk_exits_2_with_one_line(tmp_path, graph_file):
     # the target opens, and every write to it fails with ENOSPC
     sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": {"seed": 7}, "s0": [0.2]}
     cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
-    code = main(["simulate", cfg, "--out", "/dev/full", "--json"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == f"error: cannot write trajectory CSV /dev/full: {os.strerror(28)}\n"
+    err = contract(["simulate", cfg, "--out", "/dev/full", "--json"], 2).err
+    assert err == f"error: cannot write trajectory CSV /dev/full: {os.strerror(28)}\n"
 
 
 @pytest.mark.parametrize("error, message", [
@@ -947,24 +828,20 @@ def test_simulate_worker_write_error_exits_2(tmp_path, graph_file, capsys, monke
     assert captured.err == f"error: cannot write trajectory CSV {out_csv}: {message}\n"
 
 
-def test_simulate_unallocatable_horizon_exits_2(tmp_path, graph_file, capsys):
+def test_simulate_unallocatable_horizon_exits_2(tmp_path, graph_file):
     # 1e299 steps: numpy refuses the arrays' size before allocating anything
     sim = {"t0": 0.0, "t_end": 0.1, "dt": 1e-300, "x0": {"seed": 7}, "s0": [0.2]}
     cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
-    code = main(["simulate", cfg, "--json"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: cannot allocate the samples of 1e+299 steps")
+    err = contract(["simulate", cfg, "--json"], 2).err
+    assert err.startswith("error: cannot allocate the samples of 1e+299 steps")
 
 
 @pytest.mark.parametrize("t0, t_end, dt", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
-def test_simulate_overflowing_step_count_exits_2(tmp_path, graph_file, capsys, t0, t_end, dt):
+def test_simulate_overflowing_step_count_exits_2(tmp_path, graph_file, t0, t_end, dt):
     sim = {"t0": t0, "t_end": t_end, "dt": dt, "x0": {"seed": 7}, "s0": [0.2]}
     cfg = certified_k3_config(tmp_path, graph_file, sim=sim)
-    code = main(["simulate", cfg, "--json"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: the step count (t_end - t0) / dt")
+    err = contract(["simulate", cfg, "--json"], 2).err
+    assert err.startswith("error: the step count (t_end - t0) / dt")
 
 
 def test_byte_reproducibility(tmp_path, graph_file, capsys):
@@ -1025,8 +902,5 @@ def test_malformed_config_field_never_raises(tmp_path_factory, field, value, com
                      sim=sim)
     section, _, key = field.rpartition(".")
     (doc[section] if section else doc)[key] = value
-    cfg = write_config(tmp, doc)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, cfg, "--json"])
-    assert code in (0, 2, 3, 4)
+    argv = [command, write_config(tmp, doc), "--json"]
+    check_contract(argv, run_cli(argv))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,19 @@ def test_determinism():
     b = greedy_select(g, 1.0, 6.0, 3)
     assert a == b
     assert exhaustive_select(g, 1.0, 6.0, 2) == exhaustive_select(g, 1.0, 6.0, 2)
+
+
+def test_greedy_solves_each_candidate_where_the_screen_overflows():
+    # kappa / sigma = 1e10 at a scale where the screen's terms of order kappa^2
+    # overflow: it raises, each candidate is solved as the dense reference
+    # solves it, and numpy warns of nothing
+    g, sigma, kappa = erdos_renyi(30, 0.2, seed=1), 1e150, 1e160
+    with pytest.raises(FloatingPointError):
+        _secular_scores(eig_sym(pinned_operator(g, sigma, kappa, [])), kappa, range(30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = greedy_select(g, sigma, kappa, 3)
+    assert got == reference_greedy(g, sigma, kappa, 3) and got.pinned == (14, 10, 27)
 
 
 @settings(max_examples=60, deadline=None)
