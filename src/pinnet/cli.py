@@ -35,7 +35,7 @@ def _load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read graph file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read graph file {path!r}: {exc}") from exc
     return parse_edge_list(text)
 
 
@@ -136,11 +136,11 @@ def load_analysis_config(path: str):
     try:
         cfg = json.loads(cfg_path.read_text())
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
     except (OSError, ValueError) as exc:  # the ValueError of text that is not UTF-8
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ValidationError(f"config {path} must be a JSON object")
+        raise ValidationError(f"config {path!r} must be a JSON object")
 
     graph_path = _field(cfg, "graph_path", Path)
     if not graph_path.is_absolute():

@@ -117,6 +117,13 @@ def test_missing_graph_exits_2(tmp_path):
     contract(["spectrum", str(tmp_path / "nope.txt")], 2)
 
 
+@pytest.mark.parametrize("name", ["\r", "a\nb"])
+def test_graph_path_with_a_line_break_stays_one_error_line(tmp_path, name):
+    # the path is quoted, so a line break in it cannot split the error line
+    err = contract(["spectrum", str(tmp_path / name)], 2).err
+    assert err.count("\n") == 1 and "\r" not in err
+
+
 @pytest.mark.parametrize("command", ["bounds", "spectrum"])
 @pytest.mark.parametrize("pinned", ["7", "-1", "0,0"])
 def test_bad_pinned_exits_2(graph_file, command, pinned):
@@ -474,6 +481,31 @@ def test_simulate_diverged_run_not_decayed(tmp_path, graph_file, capsys):
     assert summary["diverged"] is True
     assert summary["steps"] == 0
     assert summary["decayed"] is False
+
+
+def past_largest_float_config(tmp_path, graph_file):
+    # ||e(0)|| = 1.7e308 sqrt(2) exceeds the largest float
+    path = graph_file(path_graph(3), "p3.txt")
+    sim = {"t0": 0.0, "t_end": 1.0, "dt": 0.01, "x0": [1.7e308, 1.7e308, 0.0], "s0": [0.0]}
+    doc = config_doc(path, 1.0, 1.0, [0], {"kind": "scalar_saturated", "a": 0.2, "b": 0.1},
+                     sim=sim)
+    return write_config(tmp_path, doc)
+
+
+def test_simulate_norm_past_largest_float_prints_null(tmp_path, graph_file):
+    # the error norm past the largest float is null, not Infinity
+    cfg = past_largest_float_config(tmp_path, graph_file)
+    summary = strict_json(contract(["simulate", cfg, "--json"], 0).out)
+    assert summary["final_error_norm"] is None
+    assert summary["diverged"] is True and summary["steps"] == 0
+
+
+def test_simulate_overflowing_step_warns_of_nothing(tmp_path, graph_file):
+    # the first step overflows; diverged_at reports it, so numpy must not warn too
+    cfg = past_largest_float_config(tmp_path, graph_file)
+    run = contract(["simulate", cfg, "--json"], 0)
+    assert run.err == "" and run.warnings == []
+    assert strict_json(run.out)["diverged"] is True
 
 
 @pytest.mark.parametrize("k", [25.0, 20.0])
